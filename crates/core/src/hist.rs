@@ -4,10 +4,12 @@
 //! request from several worker threads at once; a recorder on that path
 //! must be cheap and contention-free. [`LatencyHistogram`] is an
 //! HdrHistogram-style **log-linear** histogram over a fixed bucket array of
-//! atomics: recording a sample is one index computation plus one relaxed
-//! `fetch_add` — no locks, no allocation, no resizing — and percentile
-//! extraction (`p50`/`p99`/`p999`) is a cumulative scan done only when a
-//! report is built.
+//! atomics: recording a sample is one index computation plus two relaxed
+//! `fetch_add`s — the sample's bucket and the running sum — and a
+//! `fetch_max` only when the sample exceeds the maximum so far; no locks,
+//! no allocation, no resizing. The sample count is not stored: `count()`
+//! and percentile extraction (`p50`/`p99`/`p999`) sum and scan the buckets,
+//! done only when a report is built.
 //!
 //! # Bucket layout
 //!
@@ -63,8 +65,9 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 /// A lock-free log-linear histogram of `u64` samples (typically
-/// nanoseconds). Recording is one relaxed `fetch_add`; reads are
-/// approximate snapshots (exact once recording has quiesced).
+/// nanoseconds). Recording is two relaxed `fetch_add`s (bucket, sum) and
+/// a rare `fetch_max`; reads are approximate snapshots (exact once
+/// recording has quiesced).
 ///
 /// ```
 /// use sosd_core::hist::LatencyHistogram;
@@ -80,7 +83,6 @@ fn bucket_upper(i: usize) -> u64 {
 /// ```
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -98,27 +100,24 @@ impl LatencyHistogram {
         // keep the 15 KiB off the stack.
         let v: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
         let buckets = v.into_boxed_slice().try_into().expect("bucket count is fixed");
-        LatencyHistogram {
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
+        LatencyHistogram { buckets, sum: AtomicU64::new(0), max: AtomicU64::new(0) }
     }
 
-    /// Record one sample. Lock-free: relaxed `fetch_add`s plus a relaxed
-    /// `fetch_max` for the exact maximum.
+    /// Record one sample. Lock-free: a relaxed `fetch_add` on the bucket
+    /// and one on the sum; the exact maximum costs a `fetch_max` only when
+    /// the sample raises it (a plain load otherwise).
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
-    /// Samples recorded.
+    /// Samples recorded: the sum of the buckets, computed on read.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Mean of all samples (0 when empty). The sum wraps at `u64::MAX`,
@@ -137,28 +136,20 @@ impl LatencyHistogram {
     /// overstate by at most ~3%, never understate by more than the bucket
     /// width. Returns 0 on an empty histogram.
     pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.count();
+        // One pass over the buckets serves both the total and the scan, so
+        // the rank is always reachable even while samples are being recorded.
+        let snapshot: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let total: u64 = snapshot.iter().sum();
         if total == 0 {
             return 0;
         }
         let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return bucket_upper(i);
-            }
-        }
-        // Concurrent recording can leave `count` ahead of the bucket sums;
-        // fall back to the highest non-empty bucket.
-        bucket_upper(
-            self.buckets
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, b)| b.load(Ordering::Relaxed) > 0)
-                .map_or(0, |(i, _)| i),
-        )
+        let holding = snapshot.iter().position(|&n| {
+            seen += n;
+            seen >= target
+        });
+        bucket_upper(holding.expect("the buckets sum to total >= target"))
     }
 
     /// Largest sample recorded — exact (not bucket-quantized), which is
@@ -188,7 +179,6 @@ impl LatencyHistogram {
         for b in self.buckets.iter() {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
     }

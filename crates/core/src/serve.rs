@@ -13,19 +13,27 @@
 //!
 //! # Wave building
 //!
-//! A worker closes a wave when it reaches `wave_size` keys, or when the
-//! **oldest** queued request has waited `linger`: the linger deadline is
-//! computed from the head request's enqueue time, so batching can delay a
-//! request by at most `linger` beyond the time a free worker first saw it
-//! — *no request is held past its linger deadline* to benefit requests
-//! behind it. Lingering exists to build batches when there is spare
-//! capacity; once the scheduler has **shed** (the definitive saturation
-//! signal), holding a partial wave open only starves a backlogged queue,
-//! so a worker that observes new sheds dispatches its partial wave
-//! immediately instead of waiting out the linger (dispatching *early* is
-//! always allowed — the deadline is an upper bound). `wave_size = 1,
-//! linger = 0` degenerates to a one-request-per-call scheduler (the
-//! `ext09_openloop` baseline).
+//! A worker pops whatever is queued, up to `wave_size` keys. A full wave
+//! is dispatched at once. A **partial** wave is held open only while it
+//! is expected to *fill*: the ingest queue keeps an EWMA of the
+//! enqueue-to-enqueue gap of queued requests (each sample clamped to
+//! `linger`; fast-path hits never queue and do not count), and the worker
+//! holds while `gap × (wave_size − wave.len())` fits in the time left to
+//! the **oldest** member's linger deadline (its enqueue time + `linger`).
+//! Otherwise — arrivals too sparse to fill the wave in time, or no gap
+//! observed yet — it dispatches what it has immediately: a lone request on
+//! an idle scheduler is served at wake-up latency, not after `linger`,
+//! while back-to-back arrivals still fill whole waves and a backlog that
+//! built up during the previous wave batches without any wait. Every
+//! push wakes a holding worker, which re-evaluates the rule with the
+//! larger wave and the updated gap.
+//!
+//! The deadline is the backstop, not the norm: if arrivals stop after the
+//! decision to hold, the wave goes out when the head request has waited
+//! `linger` — *no request is held past its linger deadline* to benefit
+//! requests behind it, and dispatching *early* is always allowed.
+//! `linger = 0` never holds; `wave_size = 1, linger = 0` degenerates to a
+//! one-request-per-call scheduler (the `ext09_openloop` baseline).
 //!
 //! # Admission control
 //!
@@ -50,8 +58,9 @@
 //! # Recording
 //!
 //! Per-request enqueue→dispatch and enqueue→complete times go into two
-//! [`LatencyHistogram`]s — lock-free log-linear bucket arrays, one relaxed
-//! `fetch_add` per sample — and every completion folds into an
+//! [`LatencyHistogram`]s — lock-free log-linear bucket arrays, two relaxed
+//! `fetch_add`s per sample (bucket and sum) plus a `fetch_max` when the
+//! sample is a new maximum — and every completion folds into an
 //! order-independent **checksum** (commutative `wrapping_add` of
 //! [`result_mix`]) so an open-loop run can be validated byte-for-byte
 //! against direct engine reads of the same key multiset regardless of
@@ -75,9 +84,11 @@ use std::time::{Duration, Instant};
 pub struct SchedulerConfig {
     /// Maximum keys per dispatched wave (≥ 1).
     pub wave_size: usize,
-    /// Longest a partial wave may wait for company, measured from the
-    /// enqueue time of its **oldest** request. Zero dispatches partial
-    /// waves immediately.
+    /// Upper bound on how long a partial wave may wait for company,
+    /// measured from the enqueue time of its **oldest** request. A partial
+    /// wave is held only while the observed arrival gap says it will fill
+    /// before that deadline (see the module docs); sparse traffic is
+    /// dispatched at once whatever this is. Zero never holds.
     pub linger: Duration,
     /// Worker threads dispatching waves (≥ 1).
     pub workers: usize,
@@ -211,6 +222,28 @@ struct Request<K> {
 struct Ingest<K> {
     deque: VecDeque<Request<K>>,
     sleepers: usize,
+    /// Enqueue stamp of the latest admitted request.
+    last_enqueued: Option<Instant>,
+    /// EWMA (weight ⅛) of the gap between consecutive admitted requests,
+    /// each sample clamped to `linger`. `None` until two have been
+    /// admitted: unknown means "do not hold".
+    gap_ewma: Option<Duration>,
+    /// Deepest queue observed at admission.
+    peak_queue: u64,
+    /// Admissions that left the queue at/above the backpressure watermark.
+    backpressure_events: u64,
+}
+
+impl<K> Ingest<K> {
+    /// Fold the gap between the previous admission and this one into the
+    /// EWMA. Stamps are taken before the lock, so two submitters can
+    /// arrive out of order; that reads as a zero gap.
+    fn note_arrival(&mut self, enqueued: Instant, linger: Duration) {
+        if let Some(prev) = self.last_enqueued.replace(enqueued) {
+            let gap = enqueued.saturating_duration_since(prev).min(linger);
+            self.gap_ewma = Some(self.gap_ewma.map_or(gap, |ewma| ewma - ewma / 8 + gap / 8));
+        }
+    }
 }
 
 /// State shared between submitters and workers.
@@ -224,8 +257,6 @@ struct Shared<K> {
     fast_hits: AtomicU64,
     waves: AtomicU64,
     wave_requests: AtomicU64,
-    peak_queue: AtomicU64,
-    backpressure_events: AtomicU64,
     checksum: AtomicU64,
     /// Enqueue → wave dispatch, nanoseconds (fast-path hits excluded).
     queue_wait: LatencyHistogram,
@@ -236,7 +267,14 @@ struct Shared<K> {
 impl<K: Key> Shared<K> {
     fn new() -> Self {
         Shared {
-            queue: Mutex::new(Ingest { deque: VecDeque::new(), sleepers: 0 }),
+            queue: Mutex::new(Ingest {
+                deque: VecDeque::new(),
+                sleepers: 0,
+                last_enqueued: None,
+                gap_ewma: None,
+                peak_queue: 0,
+                backpressure_events: 0,
+            }),
             not_empty: Condvar::new(),
             stop: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
@@ -245,8 +283,6 @@ impl<K: Key> Shared<K> {
             fast_hits: AtomicU64::new(0),
             waves: AtomicU64::new(0),
             wave_requests: AtomicU64::new(0),
-            peak_queue: AtomicU64::new(0),
-            backpressure_events: AtomicU64::new(0),
             checksum: AtomicU64::new(0),
             queue_wait: LatencyHistogram::new(),
             latency: LatencyHistogram::new(),
@@ -451,10 +487,11 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
                 return Err(RequestShed);
             }
             q.deque.push_back(Request { key, enqueued, slot: Arc::clone(&slot) });
-            let depth = q.deque.len() as u64;
-            sh.peak_queue.fetch_max(depth, Ordering::Relaxed);
-            if depth as usize >= self.config.backpressure_watermark() {
-                sh.backpressure_events.fetch_add(1, Ordering::Relaxed);
+            q.note_arrival(enqueued, self.config.linger);
+            let depth = q.deque.len();
+            q.peak_queue = q.peak_queue.max(depth as u64);
+            if depth >= self.config.backpressure_watermark() {
+                q.backpressure_events += 1;
             }
             q.sleepers > 0
         };
@@ -493,6 +530,10 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
     /// Counter snapshot.
     pub fn stats(&self) -> SchedulerStats {
         let sh = &self.shared;
+        let (peak_queue, backpressure_events) = {
+            let q = sh.queue.lock().expect("scheduler queue");
+            (q.peak_queue, q.backpressure_events)
+        };
         SchedulerStats {
             submitted: sh.submitted.load(Ordering::Acquire),
             completed: sh.completed.load(Ordering::Acquire),
@@ -500,8 +541,8 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
             fast_hits: sh.fast_hits.load(Ordering::Relaxed),
             waves: sh.waves.load(Ordering::Relaxed),
             wave_requests: sh.wave_requests.load(Ordering::Relaxed),
-            peak_queue: sh.peak_queue.load(Ordering::Relaxed),
-            backpressure_events: sh.backpressure_events.load(Ordering::Relaxed),
+            peak_queue,
+            backpressure_events,
             checksum: sh.checksum.load(Ordering::Relaxed),
         }
     }
@@ -534,9 +575,9 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> Drop for RequestScheduler<K, 
     }
 }
 
-/// Worker thread body: collect a wave (full, linger-expired, or shutdown
-/// drain), dispatch it through `get_batch` outside the queue lock,
-/// complete each request.
+/// Worker thread body: collect a wave (full, not expected to fill,
+/// linger-expired, or shutdown drain), dispatch it through `get_batch`
+/// outside the queue lock, complete each request.
 fn worker_loop<K: Key, E: QueryEngine<K> + ?Sized>(
     sh: &Shared<K>,
     engine: &E,
@@ -545,10 +586,6 @@ fn worker_loop<K: Key, E: QueryEngine<K> + ?Sized>(
     let mut wave: Vec<Request<K>> = Vec::with_capacity(config.wave_size);
     let mut keys: Vec<K> = Vec::with_capacity(config.wave_size);
     let mut results: Vec<Option<u64>> = Vec::with_capacity(config.wave_size);
-    // Shed count as of this worker's last dispatch decision: movement means
-    // the queue overflowed while we held a partial wave — saturation, so
-    // linger (a spare-capacity optimization) is skipped for this wave.
-    let mut shed_seen = sh.shed.load(Ordering::Relaxed);
     loop {
         debug_assert!(wave.is_empty());
         {
@@ -572,30 +609,27 @@ fn worker_loop<K: Key, E: QueryEngine<K> + ?Sized>(
                     q.sleepers -= 1;
                     continue;
                 }
-                // Partial wave: linger until the *oldest* member's
+                // Partial wave: hold it only while arrivals at the observed
+                // gap would fill it before the *oldest* member's linger
                 // deadline, so no request waits more than `linger` past
-                // the moment a free worker first held it. Sheds observed
-                // since the last dispatch mean the queue is overflowing —
-                // dispatch what we have rather than starving the backlog.
-                let deadline = wave[0].enqueued + config.linger;
-                let now = Instant::now();
-                if now >= deadline
-                    || sh.stop.load(Ordering::Acquire)
-                    || sh.shed.load(Ordering::Relaxed) != shed_seen
-                {
+                // the moment a free worker first held it, and sparse
+                // traffic does not wait at all. As a sleeper the worker is
+                // woken by every push and decides again.
+                let left =
+                    (wave[0].enqueued + config.linger).saturating_duration_since(Instant::now());
+                let missing = u32::try_from(config.wave_size - wave.len()).unwrap_or(u32::MAX);
+                let will_fill = q.gap_ewma.is_some_and(|gap| gap.saturating_mul(missing) <= left);
+                if left.is_zero() || !will_fill || sh.stop.load(Ordering::Acquire) {
                     break;
                 }
                 q.sleepers += 1;
-                let (guard, _timeout) = sh
-                    .not_empty
-                    .wait_timeout(q, deadline.saturating_duration_since(now))
-                    .expect("scheduler queue");
+                let (guard, _timeout) =
+                    sh.not_empty.wait_timeout(q, left).expect("scheduler queue");
                 q = guard;
                 q.sleepers -= 1;
             }
         }
         let dispatched = Instant::now();
-        shed_seen = sh.shed.load(Ordering::Relaxed);
         keys.clear();
         for r in &wave {
             keys.push(r.key);
@@ -670,8 +704,68 @@ mod tests {
         let t0 = Instant::now();
         let r = sched.submit(4).unwrap();
         assert_eq!(r.wait(), Some(data.payload(2)));
-        // Far below wave_size, so only the linger deadline can release it.
+        // Far below wave_size: the linger deadline is the latest it can go.
         assert!(t0.elapsed() < Duration::from_millis(500), "linger must bound the wait");
+    }
+
+    #[test]
+    fn lone_request_on_idle_scheduler_is_not_held() {
+        let (data, engine) = static_engine(100);
+        let cfg = SchedulerConfig {
+            wave_size: 64,
+            linger: Duration::from_millis(50),
+            ..Default::default()
+        };
+        let sched = RequestScheduler::new(engine, cfg).unwrap();
+        let r = sched.submit(4).unwrap();
+        assert_eq!(r.wait(), Some(data.payload(2)));
+        sched.wait_idle();
+        // No arrival gap is known, so nothing says the wave would fill:
+        // it goes out alone at wake-up latency, not after the 50 ms linger.
+        let served = Duration::from_nanos(sched.latency().max());
+        assert!(served < Duration::from_millis(10), "lone request took {served:?}");
+        let stats = sched.stats();
+        assert_eq!((stats.waves, stats.wave_requests), (1, 1), "rides a wave of one");
+    }
+
+    #[test]
+    fn back_to_back_submits_still_batch() {
+        let (_, engine) = static_engine(1_000);
+        let cfg = SchedulerConfig {
+            wave_size: 32,
+            linger: Duration::from_micros(200),
+            workers: 1,
+            queue_cap: 20_000,
+        };
+        let sched = RequestScheduler::new(Arc::clone(&engine), cfg).unwrap();
+        let probes: Vec<u64> = (0..20_000u64).map(|i| i % 2_100).collect();
+        for &k in &probes {
+            sched.submit(k).expect("roomy queue never sheds");
+        }
+        sched.wait_idle();
+        let stats = sched.stats();
+        assert_eq!(stats.completed, 20_000);
+        assert!(stats.avg_wave() >= 8.0, "dense arrivals must batch: {}", stats.avg_wave());
+        assert_eq!(stats.checksum, oracle_checksum(&*engine, &probes));
+    }
+
+    #[test]
+    fn sparse_arrivals_are_dispatched_without_lingering() {
+        let (_, engine) = static_engine(100);
+        let linger = Duration::from_millis(10);
+        let cfg = SchedulerConfig { wave_size: 32, linger, workers: 1, queue_cap: 64 };
+        let sched = RequestScheduler::new(engine, cfg).unwrap();
+        for k in 0..12u64 {
+            sched.submit(k).unwrap();
+            std::thread::sleep(4 * linger);
+        }
+        sched.wait_idle();
+        // One request per 4 lingers cannot fill a wave of 32 within a
+        // linger, so none is held for company that cannot come.
+        let stats = sched.stats();
+        assert!(stats.avg_wave() < 2.0, "avg wave {}", stats.avg_wave());
+        let wait_p50 = Duration::from_nanos(sched.queue_wait().p50());
+        assert!(wait_p50 < linger / 2, "median queue wait {wait_p50:?} vs linger {linger:?}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Open-loop serving: push a Poisson+burst request schedule through the
 //! wave-batching `RequestScheduler`, compare it against a naive
-//! one-request-per-dispatch front end, and watch the negative-caching fast
-//! path answer hot keys at submit time.
+//! one-request-per-dispatch front end, watch the negative-caching fast
+//! path answer hot keys at submit time, and see sparse arrivals served
+//! without waiting out the linger.
 //!
 //! Run with: `cargo run --release --example openloop_serving`
 
@@ -12,7 +13,7 @@ use sosd::datasets::{
     generate_openloop, generate_u64, DatasetId, OpenLoopConfig, OpenLoopSchedule,
 };
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Submit every request back-to-back (saturation mode) and report
 /// sustained kreq/s, shed %, fast-path %, and tail latency. Pair it with
@@ -118,5 +119,27 @@ fn main() {
     println!(
         "\nchecksum validated: scheduler ≡ direct engine reads over {} requests",
         schedule.len()
+    );
+
+    // 5. Sparse paced arrivals: one request every four lingers can never
+    //    fill a wave of 32 before its deadline, so no partial wave is held
+    //    for company that cannot come — the median queue wait is a worker
+    //    wake-up, far below the configured linger (the upper bound).
+    let sched = wave_spec.scheduler(&rmi_spec, &data, SearchStrategy::Binary).expect("builds");
+    let gap = Duration::from_micros(4 * wave_spec.linger_us);
+    for &k in schedule.keys.iter().take(500) {
+        let _ = sched.submit(k);
+        std::thread::sleep(gap);
+    }
+    sched.wait_idle();
+    println!(
+        "\nsparse paced, one request per {}µs, wave {}\n  queue-wait p50 {}µs (linger {}µs) | \
+         avg wave {:.1} | p99 {}µs",
+        gap.as_micros(),
+        wave_spec.label(),
+        sched.queue_wait().p50() / 1_000,
+        wave_spec.linger_us,
+        sched.stats().avg_wave(),
+        sched.latency().p99() / 1_000,
     );
 }
