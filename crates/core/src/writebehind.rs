@@ -17,7 +17,12 @@
 //!   newest shadow entry (a tombstone hit answers `None`), ordered queries
 //!   stitch merges that drop tombstoned keys, and batched lookups partition
 //!   keys so the base's interleaved-prefetch path still fires for the
-//!   (usually large) non-shadowed majority.
+//!   (usually large) non-shadowed majority. Everything below the delta is
+//!   written once, as the read kernel on the immutable generation
+//!   (`Generation::{get, get_batch, lower_bound, range}`); the live engine
+//!   and a [`PinnedView`] both call it and differ only in where the
+//!   delta's answer comes from, the lock they hold, and whether the
+//!   kernel's run-stack tally is recorded.
 //! * **Merges** follow the configured [`MergePolicy`]:
 //!   * [`MergePolicy::Flat`] rebuilds the base from its [`SortedData`]
 //!     plus the drained delta when the delta crosses a size threshold
@@ -88,10 +93,12 @@
 //! [`WriteBehindEngine::snapshot`] turns the epoch pointer into a
 //! first-class handle: a [`PinnedView`] clones the current generation
 //! `Arc` and copies the delta (active merged over frozen) once, so every
-//! read through the handle — point, batch, ordered — sees exactly the
-//! mapping that was visible at pin time. Concurrent inserts, removes,
-//! merges, compactions, and density rewrites only ever publish *newer*
-//! generations, which the pin never observes; the pinned generation's
+//! read through the handle — point, batch, ordered; the same generation
+//! read kernel as the live engine, over the copied delta, with no lock and
+//! nothing recorded — sees exactly the mapping that was visible at pin
+//! time. Concurrent inserts, removes, merges, compactions, and density
+//! rewrites only ever publish *newer* generations, which the pin never
+//! observes; the pinned generation's
 //! memory is reclaimed by the same refcount rule as any in-flight
 //! reader's, when its last holder drops ([`WriteBehindEngine::active_pins`]
 //! counts outstanding pins).
@@ -121,7 +128,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 /// Builds an immutable engine over a (rebuilt) data array — called once at
@@ -314,10 +321,7 @@ impl<K: Key> DeltaTier<K> {
     fn lower_bound_entry(&self, key: K) -> Option<Shadow<K>> {
         let value = self.values.lower_bound_entry(key).map(|(k, v)| (k, Some(v)));
         let tomb = self.tombs.lower_bound_entry(key).map(|(k, _)| (k, None));
-        match (value, tomb) {
-            (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
-            (a, b) => a.or(b),
-        }
+        min_entry(value, tomb)
     }
 }
 
@@ -530,6 +534,19 @@ impl<K: Key> Generation<K> {
         Generation { levels, probe_runs, base, data, epoch, base_file, base_hash }
     }
 
+    /// The next generation over the same base: a new run stack, the base
+    /// engine, data, snapshot file and hash carried over by `Arc`.
+    fn restacked(&self, levels: Vec<Vec<Arc<Run<K>>>>) -> Generation<K> {
+        Generation::new(
+            levels,
+            Arc::clone(&self.base),
+            Arc::clone(&self.data),
+            self.epoch + 1,
+            self.base_file.clone(),
+            self.base_hash,
+        )
+    }
+
     /// Runs in shadowing order: newest first.
     fn runs_newest_first(&self) -> impl Iterator<Item = &Arc<Run<K>>> {
         self.levels.iter().flatten()
@@ -539,6 +556,168 @@ impl<K: Key> Generation<K> {
     fn run_count(&self) -> usize {
         self.probe_runs.len()
     }
+
+    /// Newest shadow state of `key` in the run stack, or `None` when no
+    /// run holds it: one newest-to-oldest walk that skips runs whose fence
+    /// bounds prune the key or whose filter proves it absent, tallying the
+    /// probes made and the filter skips. Forced inline, like
+    /// [`Generation::get`]: each caller then compiles to what it was when
+    /// it carried its own copy of this walk (with plain `#[inline]` the
+    /// walk was outlined and `point-hot` measured 5% slower).
+    #[inline(always)]
+    fn run_state(&self, key: K, tally: &mut StackTally) -> Option<Option<u64>> {
+        tally.lookups += 1;
+        let fprobe = FilterProbe::new(key.to_u64());
+        for entry in &self.probe_runs {
+            if key < entry.min_key || key > entry.max_key {
+                continue;
+            }
+            if !entry.filter.may_contain_probe(&fprobe) {
+                tally.skips += 1;
+                continue;
+            }
+            tally.probes += 1;
+            if let Some(state) = entry.run.probe_unpruned(key) {
+                return Some(state);
+            }
+        }
+        None
+    }
+
+    /// Point lookup below the delta: the run stack (not consulted, and the
+    /// key not hashed, when it is empty), then the base.
+    #[inline(always)]
+    fn get(&self, key: K, tally: &mut StackTally) -> Option<u64> {
+        if !self.probe_runs.is_empty() {
+            if let Some(state) = self.run_state(key, tally) {
+                return state;
+            }
+        }
+        self.base.get(key)
+    }
+
+    /// Batched lookup below the delta: `keys[i]` answers into
+    /// `out[slots[i]]`. Run hits are resolved per key and compacted out of
+    /// the batch in place; the remainder — the non-shadowed majority in a
+    /// read-mostly workload — goes to the base in one batch, keeping its
+    /// interleaved-prefetch override on the hot path (through its parallel
+    /// path when `par`, so a sharded base fans out across cores).
+    fn get_batch(
+        &self,
+        mut keys: Vec<K>,
+        mut slots: Vec<usize>,
+        out: &mut [Option<u64>],
+        par: bool,
+        tally: &mut StackTally,
+    ) {
+        if !self.probe_runs.is_empty() {
+            let mut kept = 0;
+            for i in 0..keys.len() {
+                match self.run_state(keys[i], tally) {
+                    Some(state) => out[slots[i]] = state,
+                    None => {
+                        (keys[kept], slots[kept]) = (keys[i], slots[i]);
+                        kept += 1;
+                    }
+                }
+            }
+            keys.truncate(kept);
+            slots.truncate(kept);
+        }
+        if keys.is_empty() {
+            return;
+        }
+        let mut base_results = Vec::with_capacity(keys.len());
+        if par {
+            self.base.par_get_batch(&keys, &mut base_results);
+        } else {
+            self.base.get_batch(&keys, &mut base_results);
+        }
+        for (r, &slot) in base_results.iter().zip(&slots) {
+            out[slot] = *r;
+        }
+    }
+
+    /// Smallest visible entry `>= key`, with `delta(probe)` supplying the
+    /// delta's smallest shadow entry `>= probe`. Candidates are gathered
+    /// from every tier; on key ties the newest tier wins, and a winning
+    /// tombstone advances the probe past its key (tombstones hide, they
+    /// don't answer).
+    fn lower_bound(&self, key: K, delta: impl Fn(K) -> Option<Shadow<K>>) -> Option<(K, u64)> {
+        let mut probe = key;
+        loop {
+            let mut best = delta(probe);
+            // Fold in run candidates newest-to-oldest, then the base; an
+            // earlier (newer) candidate wins key ties, so `best` is always
+            // the newest shadow state of the smallest candidate key.
+            for entry in &self.probe_runs {
+                // A fence filter can prove the run's tail past `probe` is
+                // empty and skip the engine entirely; point filters (Bloom)
+                // conservatively admit every range probe.
+                if !entry.filter.may_contain_from(probe.to_u64()) {
+                    continue;
+                }
+                best = min_entry(best, entry.run.lower_bound(probe));
+            }
+            best = min_entry(best, self.base.lower_bound(probe).map(|(k, v)| (k, Some(v))));
+            match best {
+                None => return None,
+                Some((k, Some(v))) => return Some((k, v)),
+                Some((k, None)) => match k.successor() {
+                    Some(next) => probe = next,
+                    None => return None,
+                },
+            }
+        }
+    }
+
+    /// Visible entries in `[lo, hi)`: `shadows` (the delta's entries in
+    /// the window) merged over each run's range, newest over older, then
+    /// overlaid on the base range — a shadow value replaces the whole base
+    /// duplicate group of its key, and a tombstone drops it.
+    fn range(&self, mut shadows: Vec<Shadow<K>>, lo: K, hi: K) -> Vec<(K, u64)> {
+        for run in self.runs_newest_first() {
+            shadows = merge_newer_over_older(&shadows, &run.entries_in(lo, hi));
+        }
+        overlay_shadows(shadows, self.base.range(lo, hi))
+    }
+}
+
+/// Run-stack work done by the point lookups of one read call, handed back
+/// by the [`Generation`] read kernel: the live engine folds it into its
+/// read-amp counters, a [`PinnedView`] drops it.
+#[derive(Default)]
+struct StackTally {
+    /// Keys that consulted a non-empty run stack.
+    lookups: u64,
+    /// Run engine probes made, after fence pruning and filter checks.
+    probes: u64,
+    /// Run probes skipped because the run's filter proved the key absent.
+    skips: u64,
+}
+
+/// Partition a batch by the delta: `out` grows by `keys.len()`, keys the
+/// delta answers (values *and* tombstones) are written in place, and the
+/// rest are returned with their slots in `out` for
+/// [`Generation::get_batch`].
+fn split_by_delta<K: Key>(
+    keys: &[K],
+    out: &mut Vec<Option<u64>>,
+    delta: impl Fn(K) -> Option<Option<u64>>,
+) -> (Vec<K>, Vec<usize>) {
+    let start = out.len();
+    out.resize(start + keys.len(), None);
+    let (mut pending, mut slots) = (Vec::new(), Vec::new());
+    for (i, &k) in keys.iter().enumerate() {
+        match delta(k) {
+            Some(state) => out[start + i] = state,
+            None => {
+                pending.push(k);
+                slots.push(start + i);
+            }
+        }
+    }
+    (pending, slots)
 }
 
 /// Everything a reader needs one coherent view of: the current generation
@@ -569,6 +748,22 @@ impl<K: Key> State<K> {
         };
         merge_newer_over_older(&active, &frozen.entries_in(lo, hi))
     }
+
+    /// Smallest delta shadow entry with key `>= key`; active wins frozen
+    /// on ties (it is newer).
+    fn delta_lower_bound(&self, key: K) -> Option<Shadow<K>> {
+        let frozen = self.frozen.as_ref().and_then(|f| f.lower_bound_entry(key));
+        min_entry(self.active.lower_bound_entry(key), frozen)
+    }
+}
+
+/// The smaller-keyed of two candidate shadow entries; `newer` wins a key
+/// tie.
+fn min_entry<K: Key>(newer: Option<Shadow<K>>, older: Option<Shadow<K>>) -> Option<Shadow<K>> {
+    match (newer, older) {
+        (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
+        (a, b) => a.or(b),
+    }
 }
 
 /// Merge two sorted unique runs; on equal keys the `newer` entry wins.
@@ -592,14 +787,16 @@ fn merge_newer_over_older<K: Key, V: Copy>(newer: &[(K, V)], older: &[(K, V)]) -
     out
 }
 
-/// Merge sorted unique shadow entries over `base` records: a value entry
-/// replaces the *whole duplicate group* of its key (matching the engine's
-/// overwrite semantics, where a shadowed key's payload replaces the base's
-/// duplicate sum) and a tombstone deletes the group — this is the one
-/// place tombstones are dropped, so it must only run when nothing older
-/// than `base` can still hold their keys. Returns `None` when tombstones
-/// deleted every record — an empty `SortedData` is not representable, so
-/// callers must keep the tombstones shadowing instead.
+/// Fold whole runs, given newest first, into one sorted unique shadow
+/// stream — the compaction input, and a cold re-open's visible count.
+fn fold_runs<'a, K: Key>(runs: impl IntoIterator<Item = &'a Arc<Run<K>>>) -> Vec<Shadow<K>> {
+    let mut merged = Vec::new();
+    for run in runs {
+        merged = merge_newer_over_older(&merged, &run.all_entries());
+    }
+    merged
+}
+
 /// One binary search: does the base data array hold `key` at all? Used by
 /// the density-rewrite trigger to decide whether a tombstone still shadows
 /// anything (the write path's group-sum probe is overkill there).
@@ -608,6 +805,14 @@ fn base_has_key<K: Key>(data: &SortedData<K>, key: K) -> bool {
     pos < data.len() && data.key(pos) == key
 }
 
+/// Merge sorted unique shadow entries over `base` records: a value entry
+/// replaces the *whole duplicate group* of its key (matching the engine's
+/// overwrite semantics, where a shadowed key's payload replaces the base's
+/// duplicate sum) and a tombstone deletes the group — this is the one
+/// place tombstones are dropped, so it must only run when nothing older
+/// than `base` can still hold their keys. Returns `None` when tombstones
+/// deleted every record — an empty `SortedData` is not representable, so
+/// callers must keep the tombstones shadowing instead.
 fn merge_shadows_over_base<K: Key>(
     base: &SortedData<K>,
     shadows: &[Shadow<K>],
@@ -957,6 +1162,88 @@ impl Drop for MergeFlagGuard<'_> {
 }
 
 impl<K: Key> Shared<K> {
+    /// Shared access to the state. A poisoned lock (a thread panicked
+    /// while holding it) panics here.
+    fn read(&self) -> RwLockReadGuard<'_, State<K>> {
+        self.state.read().expect("writebehind state lock")
+    }
+
+    /// Exclusive access to the state; panics on a poisoned lock like
+    /// [`Shared::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, State<K>> {
+        self.state.write().expect("writebehind state lock")
+    }
+
+    /// The current generation: one `Arc` clone under the read lock.
+    fn current(&self) -> Arc<Generation<K>> {
+        Arc::clone(&self.read().generation)
+    }
+
+    /// The O(1) swap: install `next` — and, when it absorbed the frozen
+    /// tier, clear the frozen pointer in the same critical section, so no
+    /// reader can observe the drained entries in neither tier — bump the
+    /// swap's `counter`, then commit the spool manifest. The visible count
+    /// is invariant across every swap: folding shadow entries down the
+    /// stack neither hides nor exposes entries.
+    fn publish(&self, next: Generation<K>, clear_frozen: bool, counter: &AtomicU64) {
+        let next = Arc::new(next);
+        {
+            let mut st = self.write();
+            st.generation = Arc::clone(&next);
+            if clear_frozen {
+                st.frozen = None;
+            }
+        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(spool) = &self.spool {
+            spool.commit(&next);
+        }
+    }
+
+    /// Build a run over sorted shadow entries, count its volume, and
+    /// persist it: the run and its filter hit the spool (tombstones
+    /// serialized in the dead-key section) before any reader can see a
+    /// generation holding it — freeze time is the durability boundary.
+    fn build_run(
+        &self,
+        entries: &[Shadow<K>],
+        filter_kind: FilterKind,
+    ) -> Result<Arc<Run<K>>, BuildError> {
+        let mut run = Run::build(entries, &self.base_factory, filter_kind)?;
+        self.merged_entries.fetch_add(run.len() as u64, Ordering::Relaxed);
+        if let Some(spool) = &self.spool {
+            run.file = Some(spool.persist("run", &run.data, &run.dead_keys, Some(&run.filter)));
+        }
+        Ok(Arc::new(run))
+    }
+
+    /// Build the generation with a rebuilt base over `data` under `levels`,
+    /// count its volume, and persist the base *before* any swap. Callers
+    /// folded every tombstone into a deletion first, so a base snapshot
+    /// never carries a dead-key section.
+    fn build_base(
+        &self,
+        data: SortedData<K>,
+        levels: Vec<Vec<Arc<Run<K>>>>,
+        epoch: u64,
+    ) -> Result<Generation<K>, BuildError> {
+        let data = Arc::new(data);
+        let base = (self.base_factory)(Arc::clone(&data))?;
+        self.merged_entries.fetch_add(data.len() as u64, Ordering::Relaxed);
+        let base_file =
+            self.spool.as_ref().map(|s| Arc::from(s.persist("base", &data, &[], None).as_str()));
+        let base_hash = snapshot_content_hash(&data, &[]);
+        Ok(Generation::new(levels, Arc::new(base), data, epoch, base_file, base_hash))
+    }
+
+    /// A merge build failed: fold the snapshot back into the delta and
+    /// count the failure; the next cycle retries.
+    fn merge_failed(&self, snapshot: &[Shadow<K>], what: &str, e: BuildError) {
+        self.rollback(snapshot);
+        self.failed_merges.fetch_add(1, Ordering::Relaxed);
+        eprintln!("[writebehind] {what} failed, delta retained: {e}");
+    }
+
     /// What the tiers below the active delta say about `key`, probed
     /// without touching any engine (runs and base are probed directly in
     /// their data arrays — the write path stays search-cheap).
@@ -999,7 +1286,7 @@ impl<K: Key> Shared<K> {
         // fresh active delta. Readers see the frozen entries through the
         // shared pointer for the whole rebuild.
         let (frozen, generation) = {
-            let mut st = self.state.write().expect("writebehind state lock");
+            let mut st = self.write();
             debug_assert!(st.frozen.is_none(), "merge started with a frozen tier in place");
             if st.active.is_empty() {
                 return;
@@ -1022,7 +1309,7 @@ impl<K: Key> Shared<K> {
     }
 
     /// Flat policy: rebuild the whole base over base-data + snapshot.
-    fn merge_flat(&self, generation: &Arc<Generation<K>>, snapshot: &[Shadow<K>]) {
+    fn merge_flat(&self, generation: &Generation<K>, snapshot: &[Shadow<K>]) {
         let Some(merged) = merge_shadows_over_base(&generation.data, snapshot) else {
             // Every record was tombstoned away: an empty base is not
             // representable (`SortedData` is non-empty by invariant), so
@@ -1031,45 +1318,9 @@ impl<K: Key> Shared<K> {
             self.rollback(snapshot);
             return;
         };
-        let merged = Arc::new(merged);
-        match (self.base_factory)(Arc::clone(&merged)) {
-            Ok(engine) => {
-                self.merged_entries.fetch_add(merged.len() as u64, Ordering::Relaxed);
-                // Persist the rebuilt base *before* the swap: tombstones
-                // were folded into deletions above, so the base snapshot
-                // never carries a dead-key section.
-                let base_file = self
-                    .spool
-                    .as_ref()
-                    .map(|s| Arc::from(s.persist("base", &merged, &[], None).as_str()));
-                let base_hash = snapshot_content_hash(&merged, &[]);
-                let next = Arc::new(Generation::new(
-                    Vec::new(),
-                    Arc::new(engine),
-                    merged,
-                    generation.epoch + 1,
-                    base_file,
-                    base_hash,
-                ));
-                // The O(1) swap: install the merged generation and clear
-                // the frozen tier in one critical section, so no reader can
-                // observe the drained entries in neither tier. The visible
-                // count is invariant here: entries the frozen tier shadowed
-                // are exactly the ones the merge collapsed or deleted.
-                let mut st = self.state.write().expect("writebehind state lock");
-                st.generation = Arc::clone(&next);
-                st.frozen = None;
-                drop(st);
-                self.merges.fetch_add(1, Ordering::Relaxed);
-                if let Some(spool) = &self.spool {
-                    spool.commit(&next);
-                }
-            }
-            Err(e) => {
-                self.rollback(snapshot);
-                self.failed_merges.fetch_add(1, Ordering::Relaxed);
-                eprintln!("[writebehind] merge rebuild failed, delta retained: {e}");
-            }
+        match self.build_base(merged, Vec::new(), generation.epoch + 1) {
+            Ok(next) => self.publish(next, true, &self.merges),
+            Err(e) => self.merge_failed(snapshot, "merge rebuild", e),
         }
     }
 
@@ -1078,54 +1329,26 @@ impl<K: Key> Shared<K> {
     /// run whose tombstone density crossed the policy's threshold.
     fn merge_leveled(
         &self,
-        generation: &Arc<Generation<K>>,
+        generation: &Generation<K>,
         snapshot: &[Shadow<K>],
         fanout: usize,
         max_levels: usize,
         tuning: LeveledTuning,
     ) {
-        match Run::build(snapshot, &self.base_factory, tuning.filter) {
-            Ok(mut run) => {
-                self.merged_entries.fetch_add(run.len() as u64, Ordering::Relaxed);
-                // Freeze time is the durability boundary: the run (and its
-                // filter) hits the spool (tombstones serialized in its
-                // dead-key section) before any reader can see the new
-                // generation.
-                if let Some(spool) = &self.spool {
-                    run.file =
-                        Some(spool.persist("run", &run.data, &run.dead_keys, Some(&run.filter)));
-                }
+        match self.build_run(snapshot, tuning.filter) {
+            Ok(run) => {
                 let mut levels = generation.levels.clone();
                 if levels.is_empty() {
                     levels.push(Vec::new());
                 }
-                levels[0].insert(0, Arc::new(run));
-                let next = Arc::new(Generation::new(
-                    levels,
-                    Arc::clone(&generation.base),
-                    Arc::clone(&generation.data),
-                    generation.epoch + 1,
-                    generation.base_file.clone(),
-                    generation.base_hash,
-                ));
-                let mut st = self.state.write().expect("writebehind state lock");
-                st.generation = Arc::clone(&next);
-                st.frozen = None;
-                drop(st);
-                self.merges.fetch_add(1, Ordering::Relaxed);
-                if let Some(spool) = &self.spool {
-                    spool.commit(&next);
-                }
+                levels[0].insert(0, run);
+                self.publish(generation.restacked(levels), true, &self.merges);
                 self.compact(fanout, max_levels, tuning.filter);
                 if tuning.rewrite_live_pct > 0 {
                     self.rewrite_dense_tombstone_runs(tuning);
                 }
             }
-            Err(e) => {
-                self.rollback(snapshot);
-                self.failed_merges.fetch_add(1, Ordering::Relaxed);
-                eprintln!("[writebehind] run build failed, delta retained: {e}");
-            }
+            Err(e) => self.merge_failed(snapshot, "run build", e),
         }
     }
 
@@ -1137,10 +1360,7 @@ impl<K: Key> Shared<K> {
     /// the lock and publishes with one O(1) swap.
     fn compact(&self, fanout: usize, max_levels: usize, filter_kind: FilterKind) {
         loop {
-            let generation = {
-                let st = self.state.read().expect("writebehind state lock");
-                Arc::clone(&st.generation)
-            };
+            let generation = self.current();
             let Some(level) = generation.levels.iter().position(|l| l.len() >= fanout) else {
                 return;
             };
@@ -1155,116 +1375,46 @@ impl<K: Key> Shared<K> {
     /// when the build failed (the level is retained; retry next cycle).
     fn compact_level(
         &self,
-        generation: &Arc<Generation<K>>,
+        generation: &Generation<K>,
         level: usize,
         max_levels: usize,
         filter_kind: FilterKind,
     ) -> bool {
-        {
-            let mut merged: Vec<Shadow<K>> = Vec::new();
-            for run in &generation.levels[level] {
-                merged = merge_newer_over_older(&merged, &run.all_entries());
+        let merged = fold_runs(&generation.levels[level]);
+        let mut levels = generation.levels.clone();
+        levels[level].clear();
+        let bottom = level + 1 >= max_levels;
+        // Bottom level: fold into the base. Nothing older than the base
+        // exists, so tombstones delete their records and are dropped.
+        let folded = if bottom { merge_shadows_over_base(&generation.data, &merged) } else { None };
+        let built = match folded {
+            Some(data) => self.build_base(data, levels, generation.epoch + 1),
+            // Otherwise one run, tombstones preserved (older levels and the
+            // base may still hold their keys): one level down, or — when
+            // the bottom level tombstoned every base record away and an
+            // empty base is not representable — back in the bottom level
+            // as one all-shadowing run (its run count drops below the
+            // fanout, so compaction still terminates).
+            None => self.build_run(&merged, filter_kind).map(|run| {
+                let target = if bottom { level } else { level + 1 };
+                if levels.len() <= target {
+                    levels.resize_with(target + 1, Vec::new);
+                }
+                levels[target].insert(0, run);
+                generation.restacked(levels)
+            }),
+        };
+        match built {
+            Ok(next) => {
+                self.publish(next, false, &self.compactions);
+                true
             }
-            let mut levels = generation.levels.clone();
-            levels[level].clear();
-            let built = if level + 1 < max_levels {
-                // Fold into a single run one level down; tombstones are
-                // preserved — older levels and the base may still hold
-                // their keys.
-                Run::build(&merged, &self.base_factory, filter_kind).map(|mut run| {
-                    self.merged_entries.fetch_add(run.len() as u64, Ordering::Relaxed);
-                    if let Some(spool) = &self.spool {
-                        run.file = Some(spool.persist(
-                            "run",
-                            &run.data,
-                            &run.dead_keys,
-                            Some(&run.filter),
-                        ));
-                    }
-                    while levels.len() <= level + 1 {
-                        levels.push(Vec::new());
-                    }
-                    levels[level + 1].insert(0, Arc::new(run));
-                    Generation::new(
-                        levels,
-                        Arc::clone(&generation.base),
-                        Arc::clone(&generation.data),
-                        generation.epoch + 1,
-                        generation.base_file.clone(),
-                        generation.base_hash,
-                    )
-                })
-            } else {
-                // Bottom level: fold into the base. Nothing older than the
-                // base exists, so tombstones delete their records and are
-                // dropped.
-                if let Some(data) = merge_shadows_over_base(&generation.data, &merged) {
-                    let data = Arc::new(data);
-                    (self.base_factory)(Arc::clone(&data)).map(|base| {
-                        self.merged_entries.fetch_add(data.len() as u64, Ordering::Relaxed);
-                        // The fold dropped every tombstone, so the fresh
-                        // base snapshot has no dead-key section — the
-                        // tombstones-never-serialized-to-base rule.
-                        let base_file = self
-                            .spool
-                            .as_ref()
-                            .map(|s| Arc::from(s.persist("base", &data, &[], None).as_str()));
-                        let base_hash = snapshot_content_hash(&data, &[]);
-                        Generation::new(
-                            levels,
-                            Arc::new(base),
-                            data,
-                            generation.epoch + 1,
-                            base_file,
-                            base_hash,
-                        )
-                    })
-                } else {
-                    // Everything tombstoned away: an empty base is not
-                    // representable, so keep the bottom level as one
-                    // all-shadowing run instead (run count drops below the
-                    // fanout, so this terminates).
-                    Run::build(&merged, &self.base_factory, filter_kind).map(|mut run| {
-                        self.merged_entries.fetch_add(run.len() as u64, Ordering::Relaxed);
-                        if let Some(spool) = &self.spool {
-                            run.file = Some(spool.persist(
-                                "run",
-                                &run.data,
-                                &run.dead_keys,
-                                Some(&run.filter),
-                            ));
-                        }
-                        levels[level] = vec![Arc::new(run)];
-                        Generation::new(
-                            levels,
-                            Arc::clone(&generation.base),
-                            Arc::clone(&generation.data),
-                            generation.epoch + 1,
-                            generation.base_file.clone(),
-                            generation.base_hash,
-                        )
-                    })
-                }
-            };
-            match built {
-                Ok(next) => {
-                    let next = Arc::new(next);
-                    let mut st = self.state.write().expect("writebehind state lock");
-                    st.generation = Arc::clone(&next);
-                    drop(st);
-                    self.compactions.fetch_add(1, Ordering::Relaxed);
-                    if let Some(spool) = &self.spool {
-                        spool.commit(&next);
-                    }
-                    true
-                }
-                Err(e) => {
-                    // Nothing was lost (the overflowing level is intact);
-                    // retry at the next merge cycle.
-                    self.failed_merges.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("[writebehind] compaction build failed, level retained: {e}");
-                    false
-                }
+            Err(e) => {
+                // Nothing was lost (the overflowing level is intact);
+                // retry at the next merge cycle.
+                self.failed_merges.fetch_add(1, Ordering::Relaxed);
+                eprintln!("[writebehind] compaction build failed, level retained: {e}");
+                false
             }
         }
     }
@@ -1279,10 +1429,7 @@ impl<K: Key> Shared<K> {
     /// visible mapping is unchanged by construction, so readers just see
     /// a smaller run behind the same O(1) generation swap.
     fn rewrite_dense_tombstone_runs(&self, tuning: LeveledTuning) {
-        let generation = {
-            let st = self.state.read().expect("writebehind state lock");
-            Arc::clone(&st.generation)
-        };
+        let generation = self.current();
         let mut levels: Vec<Vec<Option<Arc<Run<K>>>>> = generation
             .levels
             .iter()
@@ -1326,18 +1473,9 @@ impl<K: Key> Shared<K> {
                     rewrote = true;
                     continue;
                 }
-                match Run::build(&kept, &self.base_factory, tuning.filter) {
-                    Ok(mut new_run) => {
-                        self.merged_entries.fetch_add(new_run.len() as u64, Ordering::Relaxed);
-                        if let Some(spool) = &self.spool {
-                            new_run.file = Some(spool.persist(
-                                "run",
-                                &new_run.data,
-                                &new_run.dead_keys,
-                                Some(&new_run.filter),
-                            ));
-                        }
-                        *slot = Some(Arc::new(new_run));
+                match self.build_run(&kept, tuning.filter) {
+                    Ok(new_run) => {
+                        *slot = Some(new_run);
                         rewrote = true;
                     }
                     Err(e) => {
@@ -1350,21 +1488,8 @@ impl<K: Key> Shared<K> {
         if !rewrote {
             return;
         }
-        let next = Arc::new(Generation::new(
-            levels.into_iter().map(|level| level.into_iter().flatten().collect()).collect(),
-            Arc::clone(&generation.base),
-            Arc::clone(&generation.data),
-            generation.epoch + 1,
-            generation.base_file.clone(),
-            generation.base_hash,
-        ));
-        let mut st = self.state.write().expect("writebehind state lock");
-        st.generation = Arc::clone(&next);
-        drop(st);
-        self.density_rewrites.fetch_add(1, Ordering::Relaxed);
-        if let Some(spool) = &self.spool {
-            spool.commit(&next);
-        }
+        let levels = levels.into_iter().map(|l| l.into_iter().flatten().collect()).collect();
+        self.publish(generation.restacked(levels), false, &self.density_rewrites);
     }
 
     /// One read-amp-forced compaction step. Caller must have won the
@@ -1372,10 +1497,7 @@ impl<K: Key> Shared<K> {
     /// the stack even though it has not reached its fanout yet.
     fn run_early_compaction(&self, max_levels: usize, filter_kind: FilterKind) {
         let _flag = MergeFlagGuard(&self.merging);
-        let generation = {
-            let st = self.state.read().expect("writebehind state lock");
-            Arc::clone(&st.generation)
-        };
+        let generation = self.current();
         let Some((level, _)) = generation
             .levels
             .iter()
@@ -1395,7 +1517,7 @@ impl<K: Key> Shared<K> {
     /// visible count is invariant — the fold only restores shadow entries
     /// the frozen tier already applied.
     fn rollback(&self, snapshot: &[Shadow<K>]) {
-        let mut st = self.state.write().expect("writebehind state lock");
+        let mut st = self.write();
         for &(k, v) in snapshot {
             if st.active.state(k).is_none() {
                 match v {
@@ -1488,22 +1610,7 @@ impl<K: Key> WriteBehindEngine<K> {
         mode: MergeMode,
         policy: MergePolicy,
     ) -> Result<Self, BuildError> {
-        if merge_threshold == 0 {
-            return Err(BuildError::InvalidConfig("merge threshold must be >= 1".into()));
-        }
-        policy.validate()?;
-        let engine = Arc::new((base_factory)(Arc::clone(&data))?);
-        let base_hash = snapshot_content_hash(&data, &[]);
-        let generation = Arc::new(Generation::new(Vec::new(), engine, data, 0, None, base_hash));
-        Ok(Self::assemble(
-            generation,
-            base_factory,
-            delta_factory,
-            merge_threshold,
-            mode,
-            policy,
-            None,
-        ))
+        Self::build(data, base_factory, delta_factory, merge_threshold, mode, policy, None)
     }
 
     /// Like [`WriteBehindEngine::with_policy`], with a **snapshot spool**:
@@ -1529,28 +1636,49 @@ impl<K: Key> WriteBehindEngine<K> {
         dir: &Path,
         page_size: usize,
     ) -> Result<Self, BuildError> {
+        let spool = Some((dir, page_size));
+        Self::build(data, base_factory, delta_factory, merge_threshold, mode, policy, spool)
+    }
+
+    /// The one fresh-start constructor: validate, write the initial base
+    /// snapshot when a spool `(dir, page_size)` is asked for, build the
+    /// base engine, and commit the first manifest.
+    fn build(
+        data: Arc<SortedData<K>>,
+        base_factory: BaseFactory<K>,
+        delta_factory: DeltaFactory<K>,
+        merge_threshold: usize,
+        mode: MergeMode,
+        policy: MergePolicy,
+        spool: Option<(&Path, usize)>,
+    ) -> Result<Self, BuildError> {
         if merge_threshold == 0 {
             return Err(BuildError::InvalidConfig("merge threshold must be >= 1".into()));
         }
         policy.validate()?;
-        fs::create_dir_all(dir)
-            .map_err(|e| BuildError::Unbuildable(format!("spool dir {}: {e}", dir.display())))?;
-        let spool = Spool { dir: dir.to_path_buf(), page_size, next_id: AtomicU64::new(0) };
-        let base_name = spool.next_name("base");
-        spool.write_data(&base_name, &data, &[], None).map_err(|e| {
-            BuildError::Unbuildable(format!("spool base snapshot {base_name}: {e}"))
-        })?;
+        let mut base_file = None;
+        let spool = match spool {
+            Some((dir, page_size)) => {
+                fs::create_dir_all(dir).map_err(|e| {
+                    BuildError::Unbuildable(format!("spool dir {}: {e}", dir.display()))
+                })?;
+                let spool = Spool { dir: dir.to_path_buf(), page_size, next_id: AtomicU64::new(0) };
+                let base_name = spool.next_name("base");
+                spool.write_data(&base_name, &data, &[], None).map_err(|e| {
+                    BuildError::Unbuildable(format!("spool base snapshot {base_name}: {e}"))
+                })?;
+                base_file = Some(Arc::from(base_name.as_str()));
+                Some(spool)
+            }
+            None => None,
+        };
         let engine = Arc::new((base_factory)(Arc::clone(&data))?);
         let base_hash = snapshot_content_hash(&data, &[]);
-        let generation = Arc::new(Generation::new(
-            Vec::new(),
-            engine,
-            data,
-            0,
-            Some(Arc::from(base_name.as_str())),
-            base_hash,
-        ));
-        spool.commit(&generation);
+        let generation =
+            Arc::new(Generation::new(Vec::new(), engine, data, 0, base_file, base_hash));
+        if let Some(spool) = &spool {
+            spool.commit(&generation);
+        }
         Ok(Self::assemble(
             generation,
             base_factory,
@@ -1558,7 +1686,7 @@ impl<K: Key> WriteBehindEngine<K> {
             merge_threshold,
             mode,
             policy,
-            Some(spool),
+            spool,
         ))
     }
 
@@ -1671,10 +1799,7 @@ impl<K: Key> WriteBehindEngine<K> {
         }
         // The visible count is the length of the stack folded over the
         // base — exactly the bottom-fold merge, discarded after counting.
-        let mut shadows: Vec<Shadow<K>> = Vec::new();
-        for run in levels.iter().flatten() {
-            shadows = merge_newer_over_older(&shadows, &run.all_entries());
-        }
+        let shadows = fold_runs(levels.iter().flatten());
         let visible = if shadows.is_empty() {
             base_data.len()
         } else {
@@ -1765,7 +1890,7 @@ impl<K: Key> WriteBehindEngine<K> {
     pub fn insert(&self, key: K, payload: u64) -> Option<u64> {
         self.shared.writes.fetch_add(1, Ordering::Relaxed);
         let (prev, crossed) = {
-            let mut st = self.shared.state.write().expect("writebehind state lock");
+            let mut st = self.shared.write();
             let prev = match st.active.state(key) {
                 Some(Some(_)) => st.active.values.insert(key, payload),
                 Some(None) => {
@@ -1796,7 +1921,7 @@ impl<K: Key> WriteBehindEngine<K> {
             (prev, st.active.len() >= self.shared.merge_threshold)
         };
         if crossed {
-            self.trigger_merge();
+            self.force_merge();
         }
         prev
     }
@@ -1811,7 +1936,7 @@ impl<K: Key> WriteBehindEngine<K> {
     pub fn remove(&self, key: K) -> Option<u64> {
         self.shared.removes.fetch_add(1, Ordering::Relaxed);
         let (prev, crossed) = {
-            let mut st = self.shared.state.write().expect("writebehind state lock");
+            let mut st = self.shared.write();
             let prev = match st.active.state(key) {
                 Some(Some(_)) => {
                     let prev = st.active.values.remove(key);
@@ -1837,7 +1962,7 @@ impl<K: Key> WriteBehindEngine<K> {
             (prev, st.active.len() >= self.shared.merge_threshold)
         };
         if crossed {
-            self.trigger_merge();
+            self.force_merge();
         }
         prev
     }
@@ -1845,7 +1970,37 @@ impl<K: Key> WriteBehindEngine<K> {
     /// Force a merge now (if one is not already running), regardless of
     /// the threshold. Respects the engine's [`MergeMode`].
     pub fn force_merge(&self) {
-        self.trigger_merge();
+        self.start_merge_job(Shared::run_merge);
+    }
+
+    /// Win the merge flag — at most one job runs at a time; losing means a
+    /// merge is already in flight, and it will reduce fan-out itself — and
+    /// run `job`: inline under [`MergeMode::Sync`], on a spawned thread
+    /// under [`MergeMode::Background`]. The job holds a [`MergeFlagGuard`],
+    /// which clears the flag on every exit path.
+    fn start_merge_job(&self, job: impl FnOnce(&Shared<K>) + Send + 'static) {
+        if self
+            .shared
+            .merging
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return;
+        }
+        match self.mode {
+            MergeMode::Sync => job(&self.shared),
+            MergeMode::Background => {
+                let mut slot = self.worker.lock().expect("worker slot");
+                // The previous worker finished (we won the flag); reap it.
+                // A panicked worker is reported by the join and must not
+                // stop the next cycle from spawning.
+                if let Some(handle) = slot.take() {
+                    let _ = handle.join();
+                }
+                let shared = Arc::clone(&self.shared);
+                *slot = Some(std::thread::spawn(move || job(&shared)));
+            }
+        }
     }
 
     /// The cumulative read/write/remove operation mix served since
@@ -1877,9 +2032,11 @@ impl<K: Key> WriteBehindEngine<K> {
         if let Some(handle) = self.worker.lock().expect("worker slot").take() {
             if handle.join().is_err() {
                 // The merge thread panicked (e.g. inside a user-supplied
-                // factory): it never reached its flag clear, so clear it
-                // here rather than spinning forever. State-lock users will
-                // surface the poisoning loudly on their next access.
+                // factory). Its `MergeFlagGuard` cleared the flag while
+                // unwinding; this store only repeats that, so the spin
+                // below cannot hang on a job that died before taking its
+                // guard. State-lock users will surface any poisoning
+                // loudly on their next access.
                 self.shared.merging.store(false, Ordering::Release);
             }
         }
@@ -1951,10 +2108,7 @@ impl<K: Key> WriteBehindEngine<K> {
     /// never reject a present one; test harnesses assert
     /// `present implies admits` over deleted and never-inserted keys.
     pub fn run_filter_audit(&self, key: K) -> Vec<(bool, bool)> {
-        let generation = {
-            let st = self.shared.state.read().expect("writebehind state lock");
-            Arc::clone(&st.generation)
-        };
+        let generation = self.shared.current();
         generation
             .runs_newest_first()
             .map(|run| {
@@ -1965,10 +2119,22 @@ impl<K: Key> WriteBehindEngine<K> {
             .collect()
     }
 
-    /// Record run-stack observability for `lookups` point lookups and,
-    /// when the policy arms a read-amp watermark, evaluate the windowed
-    /// probes-per-lookup average once per [`READ_AMP_WINDOW`] lookups.
-    fn note_stack_lookups(&self, lookups: u64, probes: u64, skips: u64) {
+    /// Fold one read call's run-stack tally into the read-amp counters.
+    /// Inlined down to the test that any key consulted the stack, so a
+    /// read over an empty stack — the read-mostly common case — pays no
+    /// call for having nothing to record.
+    #[inline]
+    fn note_stack_lookups(&self, tally: StackTally) {
+        if tally.lookups != 0 {
+            self.record_stack_lookups(tally);
+        }
+    }
+
+    /// Add a non-empty tally to the read-amp counters and, when the policy
+    /// arms a read-amp watermark, evaluate the windowed probes-per-lookup
+    /// average once per [`READ_AMP_WINDOW`] lookups.
+    fn record_stack_lookups(&self, tally: StackTally) {
+        let StackTally { lookups, probes, skips } = tally;
         let shared = &self.shared;
         if probes != 0 {
             shared.stack_probes.fetch_add(probes, Ordering::Relaxed);
@@ -1977,7 +2143,7 @@ impl<K: Key> WriteBehindEngine<K> {
             shared.filter_skips.fetch_add(skips, Ordering::Relaxed);
         }
         let before = shared.stack_lookups.fetch_add(lookups, Ordering::Relaxed);
-        let MergePolicy::Leveled { tuning, .. } = shared.policy else {
+        let MergePolicy::Leveled { max_levels, tuning, .. } = shared.policy else {
             return;
         };
         let watermark = tuning.read_amp_watermark as u64;
@@ -1995,37 +2161,28 @@ impl<K: Key> WriteBehindEngine<K> {
         if d_lookups == 0 || d_probes <= watermark * d_lookups {
             return;
         }
-        self.early_compact();
+        // Read-amp trigger: fold the fullest level early.
+        self.start_merge_job(move |s| s.run_early_compaction(max_levels, tuning.filter));
     }
 
-    /// Read-amp trigger: win the merge flag and fold the fullest level
-    /// early. Respects the engine's [`MergeMode`]; a merge already in
-    /// flight wins the race and will reduce fan-out itself.
-    fn early_compact(&self) {
-        let MergePolicy::Leveled { max_levels, tuning, .. } = self.shared.policy else {
+    /// Batch path shared by the serial and parallel entry points: delta
+    /// hits are answered inline under one read-lock acquisition (so the
+    /// whole batch sees a single coherent delta state), the rest goes to
+    /// [`Generation::get_batch`] on the snapshotted generation, outside
+    /// the lock.
+    fn get_batch_impl(&self, keys: &[K], out: &mut Vec<Option<u64>>, par: bool) {
+        if keys.is_empty() {
             return;
+        }
+        self.shared.reads.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let (pending, slots, generation) = {
+            let st = self.shared.read();
+            let (pending, slots) = split_by_delta(keys, out, |k| st.delta_state(k));
+            (pending, slots, Arc::clone(&st.generation))
         };
-        if self
-            .shared
-            .merging
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
-        }
-        match self.mode {
-            MergeMode::Sync => self.shared.run_early_compaction(max_levels, tuning.filter),
-            MergeMode::Background => {
-                let mut slot = self.worker.lock().expect("worker slot");
-                if let Some(handle) = slot.take() {
-                    let _ = handle.join();
-                }
-                let shared = Arc::clone(&self.shared);
-                *slot = Some(std::thread::spawn(move || {
-                    shared.run_early_compaction(max_levels, tuning.filter)
-                }));
-            }
-        }
+        let mut tally = StackTally::default();
+        generation.get_batch(pending, slots, out, par, &mut tally);
+        self.note_stack_lookups(tally);
     }
 
     /// Total entries written into new immutable structures by merges and
@@ -2043,14 +2200,14 @@ impl<K: Key> WriteBehindEngine<K> {
     /// Shadow entries currently buffered in the delta tiers (active +
     /// frozen), tombstones included.
     pub fn delta_len(&self) -> usize {
-        let st = self.shared.state.read().expect("writebehind state lock");
+        let st = self.shared.read();
         st.active.len() + st.frozen.as_ref().map_or(0, |f| f.len())
     }
 
     /// Records in the current base generation's data array (frozen runs
     /// not included; see [`WriteBehindEngine::run_count`]).
     pub fn base_len(&self) -> usize {
-        self.shared.state.read().expect("writebehind state lock").generation.data.len()
+        self.shared.read().generation.data.len()
     }
 
     /// Immutable runs currently stacked above the base (always 0 under
@@ -2058,20 +2215,20 @@ impl<K: Key> WriteBehindEngine<K> {
     /// engines a point read may probe after missing the delta — the read
     /// fan-out the leveled policy trades merge work against.
     pub fn run_count(&self) -> usize {
-        self.shared.state.read().expect("writebehind state lock").generation.run_count()
+        self.shared.read().generation.run_count()
     }
 
     /// Runs per level, newest level first (empty under
     /// [`MergePolicy::Flat`]).
     pub fn level_run_counts(&self) -> Vec<usize> {
-        let st = self.shared.state.read().expect("writebehind state lock");
+        let st = self.shared.read();
         st.generation.levels.iter().map(Vec::len).collect()
     }
 
     /// The current generation counter (0 = initial build; each merge and
     /// compaction swap increments it).
     pub fn epoch(&self) -> u64 {
-        self.shared.state.read().expect("writebehind state lock").generation.epoch
+        self.shared.read().generation.epoch
     }
 
     /// The configured merge threshold.
@@ -2095,10 +2252,7 @@ impl<K: Key> WriteBehindEngine<K> {
         let Some(spool) = &self.shared.spool else {
             return 0;
         };
-        let generation = {
-            let st = self.shared.state.read().expect("writebehind state lock");
-            Arc::clone(&st.generation)
-        };
+        let generation = self.shared.current();
         let file_len =
             |name: &str| fs::metadata(spool.dir.join(name)).map(|m| m.len()).unwrap_or(0);
         generation.base_file.as_deref().map_or(0, file_len)
@@ -2121,7 +2275,7 @@ impl<K: Key> WriteBehindEngine<K> {
     /// until dropped — the same refcount rule as any in-flight reader.
     pub fn snapshot(&self) -> PinnedView<K> {
         let (generation, delta, visible_len) = {
-            let st = self.shared.state.read().expect("writebehind state lock");
+            let st = self.shared.read();
             // `delta_entries` is half-open, so the extreme key needs one
             // explicit probe (mirroring the merge drain).
             let mut delta = st.delta_entries(K::MIN_KEY, K::MAX_KEY);
@@ -2185,32 +2339,6 @@ impl<K: Key> WriteBehindEngine<K> {
         }
         Ok(SpoolVerifyReport { epoch: manifest.epoch, files, hashed })
     }
-
-    /// Win the merge flag and run (or spawn) the merge.
-    fn trigger_merge(&self) {
-        if self
-            .shared
-            .merging
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return; // a merge is already in flight
-        }
-        match self.mode {
-            MergeMode::Sync => self.shared.run_merge(),
-            MergeMode::Background => {
-                let mut slot = self.worker.lock().expect("worker slot");
-                // The previous worker finished (we won the flag); reap it.
-                // A panicked worker is reported by the join and must not
-                // stop the next cycle from spawning.
-                if let Some(handle) = slot.take() {
-                    let _ = handle.join();
-                }
-                let shared = Arc::clone(&self.shared);
-                *slot = Some(std::thread::spawn(move || shared.run_merge()));
-            }
-        }
-    }
 }
 
 impl<K: Key> Drop for WriteBehindEngine<K> {
@@ -2221,7 +2349,7 @@ impl<K: Key> Drop for WriteBehindEngine<K> {
 
 impl<K: Key> QueryEngine<K> for WriteBehindEngine<K> {
     fn name(&self) -> String {
-        let st = self.shared.state.read().expect("writebehind state lock");
+        let st = self.shared.read();
         format!("writebehind[{}+{}]", st.generation.base.name(), st.active.values.name())
     }
 
@@ -2236,7 +2364,7 @@ impl<K: Key> QueryEngine<K> for WriteBehindEngine<K> {
     }
 
     fn size_bytes(&self) -> usize {
-        let st = self.shared.state.read().expect("writebehind state lock");
+        let st = self.shared.read();
         st.generation.base.size_bytes()
             + st.generation.runs_newest_first().map(|r| r.size_bytes()).sum::<usize>()
             + st.active.size_bytes()
@@ -2244,185 +2372,63 @@ impl<K: Key> QueryEngine<K> for WriteBehindEngine<K> {
     }
 
     /// Delta first (the newest shadow entry wins: a value answers, a
-    /// tombstone answers `None`), then each run newest-to-oldest (skipping
-    /// runs whose key range prunes the probe or whose filter proves the
-    /// key absent), then the snapshotted base generation — everything
-    /// below the delta probed outside the state lock.
+    /// tombstone answers `None`) under the read guard, then the
+    /// snapshotted generation — each run newest-to-oldest (skipping runs
+    /// whose key range prunes the probe or whose filter proves the key
+    /// absent), then the base — all probed outside the state lock.
     fn get(&self, key: K) -> Option<u64> {
         self.shared.reads.fetch_add(1, Ordering::Relaxed);
         let generation = {
-            let st = self.shared.state.read().expect("writebehind state lock");
+            let st = self.shared.read();
             if let Some(state) = st.delta_state(key) {
                 return state;
             }
             Arc::clone(&st.generation)
         };
-        let mut hit = None;
-        if !generation.probe_runs.is_empty() {
-            let mut probes = 0u64;
-            let mut skips = 0u64;
-            let fprobe = FilterProbe::new(key.to_u64());
-            for entry in &generation.probe_runs {
-                if key < entry.min_key || key > entry.max_key {
-                    continue;
-                }
-                if !entry.filter.may_contain_probe(&fprobe) {
-                    skips += 1;
-                    continue;
-                }
-                probes += 1;
-                if let Some(state) = entry.run.probe_unpruned(key) {
-                    hit = Some(state);
-                    break;
-                }
-            }
-            self.note_stack_lookups(1, probes, skips);
-        }
-        match hit {
-            Some(state) => state,
-            None => generation.base.get(key),
-        }
+        let mut tally = StackTally::default();
+        let hit = generation.get(key, &mut tally);
+        self.note_stack_lookups(tally);
+        hit
     }
 
-    /// Smallest visible entry `>= key`. Candidates are gathered from every
-    /// tier; on key ties the newest tier wins, and a winning tombstone
-    /// advances the probe past its key (tombstones hide, they don't
-    /// answer). The state read lock is held across the *whole* skip loop:
-    /// every iteration must see the same delta and generation, or a writer
-    /// interleaving between two iterations could make the call return an
-    /// answer that was correct at no single instant (e.g. skip a tombstone
-    /// that a concurrent re-insert just revived, then miss an entry a
-    /// concurrent remove just hid).
+    /// Smallest visible entry `>= key`: candidates are gathered from every
+    /// tier, the newest tier wins key ties, and a winning tombstone
+    /// advances the probe past its key. The state read lock is held across
+    /// the *whole* call: every iteration of that tombstone-skipping loop
+    /// must see the same delta and generation, or a writer interleaving
+    /// between two iterations could make the call return an answer that
+    /// was correct at no single instant (e.g. skip a tombstone that a
+    /// concurrent re-insert just revived, then miss an entry a concurrent
+    /// remove just hid).
     fn lower_bound(&self, key: K) -> Option<(K, u64)> {
-        let st = self.shared.state.read().expect("writebehind state lock");
-        let generation = &st.generation;
-        let mut probe = key;
-        loop {
-            let active = st.active.lower_bound_entry(probe);
-            let frozen = st.frozen.as_ref().and_then(|f| f.lower_bound_entry(probe));
-            // Active wins frozen on ties (it is newer).
-            let mut best = match (active, frozen) {
-                (Some(a), Some(f)) => Some(if f.0 < a.0 { f } else { a }),
-                (a, f) => a.or(f),
-            };
-            // Fold in run candidates newest-to-oldest, then the base; an
-            // earlier (newer) candidate wins key ties, so `best` is always
-            // the newest shadow state of the smallest candidate key.
-            for entry in &generation.probe_runs {
-                // A fence filter can prove the run's tail past `probe` is
-                // empty and skip the engine entirely; point filters (Bloom)
-                // conservatively admit every range probe.
-                if !entry.filter.may_contain_from(probe.to_u64()) {
-                    continue;
-                }
-                if let Some(cand) = entry.run.lower_bound(probe) {
-                    if best.as_ref().is_none_or(|b| cand.0 < b.0) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            if let Some((k, v)) = generation.base.lower_bound(probe) {
-                if best.as_ref().is_none_or(|b| k < b.0) {
-                    best = Some((k, Some(v)));
-                }
-            }
-            match best {
-                None => return None,
-                Some((k, Some(v))) => return Some((k, v)),
-                Some((k, None)) => match k.successor() {
-                    Some(next) => probe = next,
-                    None => return None,
-                },
-            }
-        }
+        let st = self.shared.read();
+        st.generation.lower_bound(key, |probe| st.delta_lower_bound(probe))
     }
 
     /// Merge of the delta range, each run's range (newest over older), and
     /// the base range; a shadow value replaces the whole base duplicate
-    /// group of its key, and a tombstone drops it.
+    /// group of its key, and a tombstone drops it. The read guard covers
+    /// only the delta copy and the `Arc` clone.
     fn range(&self, lo: K, hi: K) -> Vec<(K, u64)> {
         if hi <= lo {
             return Vec::new();
         }
-        let (mut shadows, generation) = {
-            let st = self.shared.state.read().expect("writebehind state lock");
+        let (shadows, generation) = {
+            let st = self.shared.read();
             (st.delta_entries(lo, hi), Arc::clone(&st.generation))
         };
-        for run in generation.runs_newest_first() {
-            shadows = merge_newer_over_older(&shadows, &run.entries_in(lo, hi));
-        }
-        overlay_shadows(shadows, generation.base.range(lo, hi))
+        generation.range(shadows, lo, hi)
     }
 
-    /// Partitioned batch execution: delta hits (values *and* tombstones)
-    /// are answered inline under one read-lock acquisition (so the whole
-    /// batch sees a single coherent delta state), run hits are resolved
-    /// newest-to-oldest against the generation snapshot, and the remaining
-    /// keys — the non-shadowed majority in a read-mostly workload — go to
-    /// the snapshotted base's own `get_batch`, keeping its
-    /// interleaved-prefetch override on the hot path.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
-        if keys.is_empty() {
-            return;
-        }
-        self.shared.reads.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let start = out.len();
-        out.resize(start + keys.len(), None);
-        let mut pending_keys = Vec::new();
-        let mut pending_slots = Vec::new();
-        let generation = {
-            let st = self.shared.state.read().expect("writebehind state lock");
-            for (i, &k) in keys.iter().enumerate() {
-                match st.delta_state(k) {
-                    Some(state) => out[start + i] = state,
-                    None => {
-                        pending_keys.push(k);
-                        pending_slots.push(i);
-                    }
-                }
-            }
-            Arc::clone(&st.generation)
-        };
-        if pending_keys.is_empty() {
-            return;
-        }
-        if generation.run_count() > 0 {
-            let lookups = pending_keys.len() as u64;
-            let mut probes = 0u64;
-            let mut skips = 0u64;
-            let mut next_keys = Vec::with_capacity(pending_keys.len());
-            let mut next_slots = Vec::with_capacity(pending_slots.len());
-            'keys: for (&k, &i) in pending_keys.iter().zip(&pending_slots) {
-                let fprobe = FilterProbe::new(k.to_u64());
-                for entry in &generation.probe_runs {
-                    if k < entry.min_key || k > entry.max_key {
-                        continue;
-                    }
-                    if !entry.filter.may_contain_probe(&fprobe) {
-                        skips += 1;
-                        continue;
-                    }
-                    probes += 1;
-                    if let Some(state) = entry.run.probe_unpruned(k) {
-                        out[start + i] = state;
-                        continue 'keys;
-                    }
-                }
-                next_keys.push(k);
-                next_slots.push(i);
-            }
-            pending_keys = next_keys;
-            pending_slots = next_slots;
-            self.note_stack_lookups(lookups, probes, skips);
-        }
-        if pending_keys.is_empty() {
-            return;
-        }
-        let mut base_results = Vec::with_capacity(pending_keys.len());
-        generation.base.get_batch(&pending_keys, &mut base_results);
-        for (r, &i) in base_results.iter().zip(&pending_slots) {
-            out[start + i] = *r;
-        }
+        self.get_batch_impl(keys, out, false);
+    }
+
+    /// Like [`QueryEngine::get_batch`], routing the base-bound remainder
+    /// through the base's own parallel path — the same read surface a
+    /// [`PinnedView`] of this engine exposes.
+    fn par_get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
+        self.get_batch_impl(keys, out, true);
     }
 }
 
@@ -2568,63 +2574,11 @@ impl<K: Key> PinnedView<K> {
         &self.delta[a..b]
     }
 
-    /// Batch path shared by the serial and parallel entry points: delta
-    /// hits answer from the frozen copy, run hits resolve newest-to-
-    /// oldest, and the remainder goes to the pinned base in one batch —
-    /// through its parallel path when `par` (so a sharded base fans the
-    /// non-shadowed majority out across cores).
+    /// Batch path shared by the serial and parallel entry points: the
+    /// live engine's, with the frozen delta copy answering and no lock.
     fn get_batch_impl(&self, keys: &[K], out: &mut Vec<Option<u64>>, par: bool) {
-        if keys.is_empty() {
-            return;
-        }
-        let start = out.len();
-        out.resize(start + keys.len(), None);
-        let mut pending_keys = Vec::new();
-        let mut pending_slots = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            match self.delta_state(k) {
-                Some(state) => out[start + i] = state,
-                None => {
-                    pending_keys.push(k);
-                    pending_slots.push(i);
-                }
-            }
-        }
-        if !pending_keys.is_empty() && self.generation.run_count() > 0 {
-            let mut next_keys = Vec::with_capacity(pending_keys.len());
-            let mut next_slots = Vec::with_capacity(pending_slots.len());
-            'keys: for (&k, &i) in pending_keys.iter().zip(&pending_slots) {
-                let fprobe = FilterProbe::new(k.to_u64());
-                for entry in &self.generation.probe_runs {
-                    if k < entry.min_key || k > entry.max_key {
-                        continue;
-                    }
-                    if !entry.filter.may_contain_probe(&fprobe) {
-                        continue;
-                    }
-                    if let Some(state) = entry.run.probe_unpruned(k) {
-                        out[start + i] = state;
-                        continue 'keys;
-                    }
-                }
-                next_keys.push(k);
-                next_slots.push(i);
-            }
-            pending_keys = next_keys;
-            pending_slots = next_slots;
-        }
-        if pending_keys.is_empty() {
-            return;
-        }
-        let mut base_results = Vec::with_capacity(pending_keys.len());
-        if par {
-            self.generation.base.par_get_batch(&pending_keys, &mut base_results);
-        } else {
-            self.generation.base.get_batch(&pending_keys, &mut base_results);
-        }
-        for (r, &i) in base_results.iter().zip(&pending_slots) {
-            out[start + i] = *r;
-        }
+        let (pending, slots) = split_by_delta(keys, out, |k| self.delta_state(k));
+        self.generation.get_batch(pending, slots, out, par, &mut StackTally::default());
     }
 }
 
@@ -2646,59 +2600,22 @@ impl<K: Key> QueryEngine<K> for PinnedView<K> {
     }
 
     /// The live engine's read path against the pinned tiers: frozen delta
-    /// first, then each run newest-to-oldest (fence- and filter-pruned),
-    /// then the pinned base — no lock anywhere; everything is immutable.
+    /// copy first, then the pinned generation's runs and base — no lock
+    /// anywhere (everything is immutable) and nothing recorded.
     fn get(&self, key: K) -> Option<u64> {
-        if let Some(state) = self.delta_state(key) {
-            return state;
+        match self.delta_state(key) {
+            Some(state) => state,
+            None => self.generation.get(key, &mut StackTally::default()),
         }
-        let fprobe = FilterProbe::new(key.to_u64());
-        for entry in &self.generation.probe_runs {
-            if key < entry.min_key || key > entry.max_key {
-                continue;
-            }
-            if !entry.filter.may_contain_probe(&fprobe) {
-                continue;
-            }
-            if let Some(state) = entry.run.probe_unpruned(key) {
-                return state;
-            }
-        }
-        self.generation.base.get(key)
     }
 
-    /// Smallest visible entry `>= key` in the pinned mapping; a winning
-    /// tombstone advances the probe past its key, exactly like the live
-    /// engine — but with no lock to hold, because every tier is frozen.
+    /// Smallest visible entry `>= key` in the pinned mapping, exactly like
+    /// the live engine — but with no lock to hold, because every tier is
+    /// frozen.
     fn lower_bound(&self, key: K) -> Option<(K, u64)> {
-        let mut probe = key;
-        loop {
-            let i = self.delta.partition_point(|e| e.0 < probe);
-            let mut best = self.delta.get(i).copied();
-            for entry in &self.generation.probe_runs {
-                if !entry.filter.may_contain_from(probe.to_u64()) {
-                    continue;
-                }
-                if let Some(cand) = entry.run.lower_bound(probe) {
-                    if best.as_ref().is_none_or(|b| cand.0 < b.0) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            if let Some((k, v)) = self.generation.base.lower_bound(probe) {
-                if best.as_ref().is_none_or(|b| k < b.0) {
-                    best = Some((k, Some(v)));
-                }
-            }
-            match best {
-                None => return None,
-                Some((k, Some(v))) => return Some((k, v)),
-                Some((k, None)) => match k.successor() {
-                    Some(next) => probe = next,
-                    None => return None,
-                },
-            }
-        }
+        self.generation.lower_bound(key, |probe| {
+            self.delta.get(self.delta.partition_point(|e| e.0 < probe)).copied()
+        })
     }
 
     /// Merge of the frozen delta range, each pinned run's range (newest
@@ -2707,11 +2624,7 @@ impl<K: Key> QueryEngine<K> for PinnedView<K> {
         if hi <= lo {
             return Vec::new();
         }
-        let mut shadows: Vec<Shadow<K>> = self.delta_entries_in(lo, hi).to_vec();
-        for run in self.generation.runs_newest_first() {
-            shadows = merge_newer_over_older(&shadows, &run.entries_in(lo, hi));
-        }
-        overlay_shadows(shadows, self.generation.base.range(lo, hi))
+        self.generation.range(self.delta_entries_in(lo, hi).to_vec(), lo, hi)
     }
 
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
@@ -3132,13 +3045,21 @@ mod tests {
     fn deleting_everything_keeps_serving() {
         // An empty base is not representable; the engine must stay correct
         // (tombstones keep shadowing) even when every record is removed.
-        for policy in [MergePolicy::Flat, MergePolicy::leveled(2, 2)] {
+        // Under `leveled(2, 1)` level 0 is the bottom level, so its two
+        // all-tombstone runs reach the bottom fold with nothing left to
+        // build a base from: they must stay stacked as one shadowing run.
+        for policy in [MergePolicy::Flat, MergePolicy::leveled(2, 2), MergePolicy::leveled(2, 1)] {
             let e = engine_with_policy(vec![10, 20, 30], 2, MergeMode::Sync, policy);
             let p = |k: u64| k.wrapping_mul(3) ^ 0xA5;
             for k in [10u64, 20, 30] {
                 assert_eq!(e.remove(k), Some(p(k)), "{policy:?}");
             }
             e.force_merge();
+            if policy != MergePolicy::Flat {
+                assert_eq!(e.compactions(), 1, "{policy:?}");
+                assert_eq!(e.run_count(), 1, "{policy:?}");
+                assert_eq!(e.base_len(), 3, "{policy:?}: the old base stays, shadowed");
+            }
             assert_eq!(e.len(), 0, "{policy:?}");
             assert_eq!(e.range(0, u64::MAX), vec![], "{policy:?}");
             assert_eq!(e.lower_bound(0), None, "{policy:?}");

@@ -56,9 +56,16 @@ proptest! {
     /// (RUNOFF_FACTOR): the trained model may prune a candidate whose
     /// real cost is best when its prediction is more than that factor off
     /// the favorite, so no tighter bound is guaranteed. Timing is noisy
-    /// at the ~10ns scale, so each side keeps its best over several
-    /// measurements and a failing shard is re-measured before it counts —
-    /// the test catches category errors, not jitter.
+    /// at the ~10ns scale, so every pass measures all candidates — the
+    /// pick and its competitors — interleaved, back to back (a noise burst
+    /// on a loaded host then hits both sides of the comparison, not one),
+    /// and each candidate keeps its minimum across passes and retries. The
+    /// pick is itself the product of timings (the cost model's training
+    /// set and the runoff are each measured once): a burst there yields a
+    /// model that prices a candidate at 0 ns or 10x its cost and prunes
+    /// the real best, which no re-measurement of the pick can repair. So a
+    /// retry re-trains and re-advises before a failure counts — the test
+    /// catches category errors, which every retry repeats, not jitter.
     #[test]
     fn per_shard_picks_track_the_measured_best(
         seed in 0u64..1_000,
@@ -66,43 +73,40 @@ proptest! {
     ) {
         const SHARDS: usize = 6;
         const TOLERANCE: f64 = 3.0;
-        const RETRIES: usize = 2;
+        const RETRIES: usize = 4;
         let data = mixed_dataset(36_000, seed, order);
         let spec = auto_spec(SHARDS);
-        let advisor = spec.advisor::<u64>().expect("pool trains");
-        let plan = advisor.advise(&data, SHARDS, &Default::default()).expect("advisor plans");
         let parts = advisor_partitions(&data, SHARDS);
-        prop_assert_eq!(plan.picks.len(), parts.len());
-
-        let best_of = |family_idx: usize, shard: &SortedData<u64>, reps: usize| -> f64 {
-            let cand = &advisor.candidates()[family_idx];
-            (0..reps)
-                .map(|_| measure_candidate_ns(cand, shard, 1_024).expect("candidate builds"))
-                .fold(f64::INFINITY, f64::min)
-        };
-        for (pick, part) in plan.picks.iter().zip(&parts) {
-            let mut picked_ns = best_of(pick.candidate, part, 3);
-            let mut exhaustive_best = (0..advisor.candidates().len())
-                .map(|i| best_of(i, part, 3))
-                .fold(f64::INFINITY, f64::min);
-            for _ in 0..RETRIES {
-                if picked_ns <= TOLERANCE * exhaustive_best {
+        let mut mins = vec![vec![f64::INFINITY; POOL.len()]; parts.len()];
+        let mut failure = String::new();
+        for _ in 0..=RETRIES {
+            let advisor = spec.advisor::<u64>().expect("pool trains");
+            let plan = advisor.advise(&data, SHARDS, &Default::default()).expect("advisor plans");
+            prop_assert_eq!(plan.picks.len(), parts.len());
+            failure.clear();
+            for ((pick, part), mins) in plan.picks.iter().zip(&parts).zip(&mut mins) {
+                for _ in 0..3 {
+                    for (min, cand) in mins.iter_mut().zip(advisor.candidates()) {
+                        let ns = measure_candidate_ns(cand, part, 1_024).expect("candidate builds");
+                        *min = min.min(ns);
+                    }
+                }
+                let (picked_ns, best) =
+                    (mins[pick.candidate], mins.iter().copied().fold(f64::INFINITY, f64::min));
+                if picked_ns > TOLERANCE * best {
+                    failure = format!(
+                        "shard pick {} measured {picked_ns:.1}ns vs exhaustive best {best:.1}ns \
+                         (> {TOLERANCE}x off); per-candidate minima {mins:.1?}, advisor scores {:?}",
+                        pick.label, pick.scores
+                    );
                     break;
                 }
-                picked_ns = picked_ns.min(best_of(pick.candidate, part, 5));
-                exhaustive_best = exhaustive_best.min(
-                    (0..advisor.candidates().len())
-                        .map(|i| best_of(i, part, 5))
-                        .fold(f64::INFINITY, f64::min),
-                );
             }
-            prop_assert!(
-                picked_ns <= TOLERANCE * exhaustive_best,
-                "shard pick {} measured {picked_ns:.1}ns vs exhaustive best \
-                 {exhaustive_best:.1}ns (> {TOLERANCE}x off)",
-                pick.label
-            );
+            if failure.is_empty() {
+                break;
+            }
         }
+        prop_assert!(failure.is_empty(), "{}", failure);
     }
 }
 

@@ -235,6 +235,65 @@ fn dropped_pins_release_their_generation() {
     );
 }
 
+/// Live and pinned reads are one kernel with two callers: on a quiesced
+/// leveled stack (three runs holding tombstones, a non-empty delta) a
+/// `get` loop, `get_batch` and `par_get_batch` answer alike through the
+/// engine and through a pin, and all match the oracle; the live `get` loop
+/// and one live batch move the read-amp counters by the same amounts (the
+/// benchmark's counted metrics read them); pinned reads record nothing.
+#[test]
+fn live_and_pinned_read_paths_agree_and_count_alike() {
+    let keys: Vec<u64> = (0..400u64).map(|i| i * 10).collect();
+    // Fanout 8: the three frozen runs stay stacked, nothing compacts.
+    let (engine, mut oracle) = build(&keys, 1 << 20, MergeMode::Sync, MergePolicy::leveled(8, 2));
+    for round in 0..3u64 {
+        for i in 0..40u64 {
+            apply(&engine, &mut oracle, ((i * 9 + round) % 400 * 10, None));
+            apply(&engine, &mut oracle, ((i * 13 + round * 3) % 400 * 10 + 5, Some(i ^ round)));
+        }
+        engine.force_merge();
+    }
+    // The delta: an overwrite of a run entry, a tombstone over a base key,
+    // a tombstone over a run entry, a fresh key.
+    for op in [(5, Some(1)), (3_990, None), (135, None), (77, Some(2))] {
+        apply(&engine, &mut oracle, op);
+    }
+    assert_eq!(engine.run_count(), 3);
+    assert!(engine.delta_len() >= 3 && !engine.is_merging());
+
+    // Base keys (present and deleted), inserted keys (present, overwritten
+    // and deleted), never-inserted keys, both extremes.
+    let probes: Vec<u64> =
+        (0..400u64).flat_map(|i| [i * 10, i * 10 + 5, i * 10 + 3]).chain([77, u64::MAX]).collect();
+    let expected: Vec<Option<u64>> = probes.iter().map(|k| oracle.get(k).copied()).collect();
+    assert!(expected.iter().any(Option::is_some) && expected.iter().any(Option::is_none));
+
+    let counters = || [engine.stack_lookups(), engine.stack_probes(), engine.filter_skips()];
+    let moved = |from: [u64; 3], to: [u64; 3]| [to[0] - from[0], to[1] - from[1], to[2] - from[2]];
+    let start = counters();
+    let looped: Vec<Option<u64>> = probes.iter().map(|&k| engine.get(k)).collect();
+    let after_loop = counters();
+    let batched = engine.lookup_batch(&probes);
+    let after_batch = counters();
+    let mut par = Vec::new();
+    engine.par_get_batch(&probes, &mut par);
+    let after_par = counters();
+    assert_eq!(looped, expected, "live get loop");
+    assert_eq!(batched, expected, "live get_batch");
+    assert_eq!(par, expected, "live par_get_batch");
+    let by_loop = moved(start, after_loop);
+    assert!(by_loop[0] > 0 && by_loop[1] > 0, "the probes must reach the run stack: {by_loop:?}");
+    assert_eq!(moved(after_loop, after_batch), by_loop, "get_batch counts like the get loop");
+    assert_eq!(moved(after_batch, after_par), by_loop, "par_get_batch counts like the get loop");
+
+    let reads = engine.access_mix().reads;
+    assert_eq!(reads, 3 * probes.len() as u64);
+    let pin = engine.snapshot();
+    assert_pin_matches(&pin, &oracle, &probes);
+    assert_eq!(counters(), after_par, "pinned reads must not move the read-amp counters");
+    assert_eq!(engine.access_mix().reads, reads, "pinned reads must not count as engine reads");
+}
+
 /// Background-mode race: reads through a pin stay consistent while a
 /// writer thread churns the engine (merges running on the merge thread).
 #[test]
