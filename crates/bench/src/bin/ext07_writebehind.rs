@@ -360,8 +360,6 @@ fn deep_row(
         runs: engine.run_count(),
         filter_skips: engine.filter_skips(),
         probes_per_lookup: engine.probes_per_lookup(),
-        density_rewrites: engine.density_rewrites(),
-        early_compactions: engine.early_compactions(),
     }
 }
 

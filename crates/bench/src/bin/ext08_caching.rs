@@ -248,53 +248,6 @@ fn main() {
                 }
             }
 
-            // One admission-policy row: the tiny cache again (where
-            // eviction pressure is highest), but with weighted admission
-            // (hot keys need 3 CLOCK sweeps to evict, not 1) and a 10ms
-            // TTL bounding staleness. Reported alongside the classic
-            // sweep; the self-gate stays on the classic configurations.
-            let tiny = (data.len() / CAPACITY_DIVISORS[0]).max(16);
-            let cached_spec = EngineSpec::Cached {
-                capacity: tiny,
-                stripes: STRIPES,
-                negative: false,
-                inner: Box::new(spec.clone()),
-            };
-            let cached = cached_spec
-                .cached_engine(&data, SearchStrategy::Binary)
-                .expect("cached engine builds")
-                .with_weighted_admission(3)
-                .with_ttl(std::time::Duration::from_millis(10));
-            let (_, warm_checksum) = measure_points(&cached, &lookup_keys);
-            assert_eq!(
-                warm_checksum, expected_checksum,
-                "cached[{engine_label},w3+ttl] returned wrong payloads ({skew_label})"
-            );
-            cached.reset_stats();
-            let (mops, timed_checksum) = measure_points_best(&cached, &lookup_keys);
-            assert_eq!(timed_checksum, expected_checksum, "timed pass diverged");
-            let hit_rate = cached.hit_rate();
-            let (p50, p99) = latency_percentiles(&cached, &lookup_keys);
-            report.push_row(vec![
-                skew_label.clone(),
-                format!("cached[{engine_label},w3+ttl]"),
-                tiny.to_string(),
-                format!("{:.1}", hit_rate * 100.0),
-                format!("{mops:.2}"),
-                format!("{p50:.0}"),
-                format!("{p99:.0}"),
-                format!("{:.2}x", mops / base_mops),
-            ]);
-            rows.push(CacheRunResult {
-                skew: skew_label.clone(),
-                engine: format!("cached[{engine_label},w3+ttl]"),
-                capacity: tiny,
-                hit_rate,
-                mops_per_s: mops,
-                p50_ns: p50,
-                p99_ns: p99,
-                checksum: timed_checksum,
-            });
             if skew == ReadSkew::Zipf(1.1) {
                 let (hit, mops, capacity) = best.expect("capacity sweep is non-empty");
                 gate.push((engine_label.to_string(), spec.clone(), capacity, hit, mops, base_mops));
@@ -354,7 +307,6 @@ fn main() {
         "\n(hit_pct/Mops are from the timed pass over a pre-warmed cache; p50/p99 \
          from a separate per-op-clocked sample; vs_uncached compares against the \
          same inner layout without the cache. Ranges/lower bounds always bypass \
-         the cache and are not measured here. The w3+ttl rows rerun the tiny \
-         cache with weighted admission (cap 3) and a 10ms entry TTL.)"
+         the cache and are not measured here.)"
     );
 }

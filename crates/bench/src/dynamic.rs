@@ -97,10 +97,6 @@ pub struct MixedRunResult {
     /// Mean frozen-run probes per stack lookup after filter pruning —
     /// the realized read fan-out, vs the `runs + 1` worst case.
     pub probes_per_lookup: f64,
-    /// Tombstone-density-triggered run rewrites completed.
-    pub density_rewrites: u64,
-    /// Read-amp-triggered early compactions completed.
-    pub early_compactions: u64,
 }
 
 /// Bulk-load `family` and drive the op stream through it, timing both.
@@ -143,8 +139,6 @@ pub fn run_mixed(
         runs: 0,
         filter_skips: 0,
         probes_per_lookup: 0.0,
-        density_rewrites: 0,
-        early_compactions: 0,
     }
 }
 
@@ -208,8 +202,6 @@ pub fn run_mixed_writebehind(
         runs: engine.run_count(),
         filter_skips: engine.filter_skips(),
         probes_per_lookup: engine.probes_per_lookup(),
-        density_rewrites: engine.density_rewrites(),
-        early_compactions: engine.early_compactions(),
     })
 }
 

@@ -27,10 +27,10 @@ use sosd_core::advisor::{AdvisedPlan, Advisor, Candidate, ObservabilityHub};
 use sosd_core::serve::FastProbe;
 use sosd_core::writebehind::{BaseFactory, DeltaFactory};
 use sosd_core::{
-    write_snapshot, BlockStore, BuildError, CachedEngine, DynamicOrderedIndex, FileStore,
-    FilterKind, Index, IndexBuilder, Key, LeveledTuning, MemStore, MergeMode, MergePolicy,
-    PagedData, PagedEngine, ProfiledStore, QueryEngine, RequestScheduler, SchedulerConfig,
-    SearchStrategy, ShardedEngine, SortedData, StaticEngine, StorageProfile, WriteBehindEngine,
+    write_snapshot, BlockStore, BuildError, CachedEngine, DynamicOrderedIndex, FileStore, Index,
+    IndexBuilder, Key, MemStore, MergeMode, MergePolicy, PagedData, PagedEngine, ProfiledStore,
+    QueryEngine, RequestScheduler, SchedulerConfig, SearchStrategy, ShardedEngine, SortedData,
+    StaticEngine, StorageProfile, WriteBehindEngine,
 };
 use sosd_fast::FastBuilder;
 use sosd_fiting::FitingTreeBuilder;
@@ -483,22 +483,10 @@ impl EngineSpec {
                 let base = EngineSpec::base_spec(*shards, *inner).label::<K>();
                 match policy {
                     MergePolicy::Flat => format!("wb[{base}+{}@{merge_threshold}]", delta.token()),
-                    MergePolicy::Leveled { fanout, max_levels, tuning } => {
-                        let mut extras = String::new();
-                        if tuning.filter != LeveledTuning::DEFAULT.filter {
-                            extras.push_str(&format!(",{}", tuning.filter.token()));
-                        }
-                        if tuning.rewrite_live_pct != 0 {
-                            extras.push_str(&format!(",rw{}", tuning.rewrite_live_pct));
-                        }
-                        if tuning.read_amp_watermark != 0 {
-                            extras.push_str(&format!(",ra{}", tuning.read_amp_watermark));
-                        }
-                        format!(
-                            "wb[{base}+{}@{merge_threshold},lvl{fanout}x{max_levels}{extras}]",
-                            delta.token()
-                        )
-                    }
+                    MergePolicy::Leveled { fanout, max_levels } => format!(
+                        "wb[{base}+{}@{merge_threshold},lvl{fanout}x{max_levels}]",
+                        delta.token()
+                    ),
                 }
             }
             EngineSpec::Cached { capacity, stripes, negative, inner } => {
@@ -782,29 +770,10 @@ impl Serialize for EngineSpec {
                     MergePolicy::Flat => {
                         params.push(("policy".into(), Value::Str("flat".into())));
                     }
-                    MergePolicy::Leveled { fanout, max_levels, tuning } => {
+                    MergePolicy::Leveled { fanout, max_levels } => {
                         params.push(("policy".into(), Value::Str("leveled".into())));
                         params.push(("fanout".into(), Value::UInt(*fanout as u64)));
                         params.push(("max_levels".into(), Value::UInt(*max_levels as u64)));
-                        // Tuning knobs are emitted only when off-default,
-                        // so pre-filter spec files and their JSON forms
-                        // stay byte-identical (the `negative` precedent).
-                        if tuning.filter != LeveledTuning::DEFAULT.filter {
-                            params
-                                .push(("filter".into(), Value::Str(tuning.filter.token().into())));
-                        }
-                        if tuning.rewrite_live_pct != 0 {
-                            params.push((
-                                "rewrite_live_pct".into(),
-                                Value::UInt(tuning.rewrite_live_pct as u64),
-                            ));
-                        }
-                        if tuning.read_amp_watermark != 0 {
-                            params.push((
-                                "read_amp_watermark".into(),
-                                Value::UInt(tuning.read_amp_watermark as u64),
-                            ));
-                        }
                     }
                 }
                 Value::Object(vec![
@@ -924,6 +893,17 @@ impl Deserialize for EngineSpec {
                 if merge_threshold == 0 {
                     return Err(serde::Error::custom("writebehind needs `merge_threshold` >= 1"));
                 }
+                // Keys retired in PR 23 (docs/FORMATS.md). This codec reads
+                // named fields only, so without the check a spec asking for
+                // `"filter":"fence"` would quietly be served Bloom.
+                for retired in ["filter", "rewrite_live_pct", "read_amp_watermark"] {
+                    if params.get_field(retired).is_some() {
+                        return Err(serde::Error::custom(format!(
+                            "writebehind `{retired}` was retired in PR 23: every run carries a \
+                             Bloom filter, and the density-rewrite and read-amp triggers are gone"
+                        )));
+                    }
+                }
                 // `policy` is optional for backward compatibility: specs
                 // written before leveled merges existed are flat.
                 let policy = match params.get_field("policy").map(|p| {
@@ -942,47 +922,10 @@ impl Deserialize for EngineSpec {
                                     },
                                 )
                             };
-                            // Tuning knobs are optional with back-compat
-                            // defaults: absent `filter` means Bloom, absent
-                            // trigger knobs mean off — pre-filter specs
-                            // keep their exact semantics.
-                            let filter = match params
-                                .get_field("filter")
-                                .map(|f| {
-                                    f.as_str().ok_or_else(|| {
-                                        serde::Error::custom("`filter` must be a string")
-                                    })
-                                })
-                                .transpose()?
-                            {
-                                None => LeveledTuning::DEFAULT.filter,
-                                Some(token) => FilterKind::from_token(token).ok_or_else(|| {
-                                    serde::Error::custom(format!("unknown filter kind `{token}`"))
-                                })?,
-                            };
-                            let opt_knob = |name: &str| -> Result<u8, serde::Error> {
-                                match params.get_field(name) {
-                                    None => Ok(0),
-                                    Some(val) => val
-                                        .as_u64()
-                                        .filter(|&n| n <= u8::MAX as u64)
-                                        .map(|n| n as u8)
-                                        .ok_or_else(|| {
-                                            serde::Error::custom(format!(
-                                                "`{name}` must be an integer in 0..=255"
-                                            ))
-                                        }),
-                                }
-                            };
-                            let policy = MergePolicy::Leveled {
-                                fanout: knob("fanout")? as usize,
-                                max_levels: knob("max_levels")? as usize,
-                                tuning: LeveledTuning {
-                                    filter,
-                                    rewrite_live_pct: opt_knob("rewrite_live_pct")?,
-                                    read_amp_watermark: opt_knob("read_amp_watermark")?,
-                                },
-                            };
+                            let policy = MergePolicy::leveled(
+                                knob("fanout")? as usize,
+                                knob("max_levels")? as usize,
+                            );
                             // Validity rules live on MergePolicy itself —
                             // one source of truth with the engine.
                             policy.validate().map_err(serde::Error::custom)?;
@@ -1833,6 +1776,28 @@ mod tests {
         assert_eq!(wb.get(data.key(123)), Some(data.payload(123)));
     }
 
+    /// The codec reads named fields only, so a retired key must be refused
+    /// by name — `"filter":"fence"` silently served Bloom would be a lie.
+    #[test]
+    fn retired_writebehind_keys_are_rejected_by_name() {
+        for (key, value) in [
+            ("filter", "\"fence\""),
+            ("filter", "\"bloom\""),
+            ("rewrite_live_pct", "60"),
+            ("read_amp_watermark", "3"),
+        ] {
+            for policy in ["\"policy\":\"leveled\",\"fanout\":4,\"max_levels\":2,", ""] {
+                let json = format!(
+                    "{{\"family\":\"writebehind\",\"params\":{{\"inner\":{{\"family\":\"BS\",\
+                     \"params\":{{}}}},\"delta\":\"btree\",\"merge_threshold\":8,{policy}\
+                     \"{key}\":{value}}}}}"
+                );
+                let err = serde_json::from_str::<EngineSpec>(&json).expect_err(&json).to_string();
+                assert!(err.contains(&format!("`{key}`")), "{json}: {err}");
+            }
+        }
+    }
+
     #[test]
     fn writebehind_specs_round_trip_and_build() {
         let inner = Family::Rmi.default_spec::<u64>();
@@ -1865,38 +1830,10 @@ mod tests {
             assert!(json.contains("\"family\":\"writebehind\""), "{json}");
             assert!(json.contains("\"merge_threshold\":"), "{json}");
             assert!(json.contains("\"policy\":"), "{json}");
-            // Default tuning stays invisible on the wire so specs written
-            // before per-run filters existed stay byte-identical.
+            // Byte-identical to specs written before PR 23 retired the
+            // leveled tuning keys: they were never emitted at default.
             assert!(!json.contains("\"filter\""), "{json}");
-            assert!(!json.contains("rewrite_live_pct"), "{json}");
-            assert!(!json.contains("read_amp_watermark"), "{json}");
         }
-        // Non-default leveled tuning round-trips and shows in the label.
-        let tuned = EngineSpec::WriteBehind {
-            shards: 1,
-            inner,
-            delta: DeltaKind::BTree,
-            merge_threshold: 256,
-            policy: MergePolicy::Leveled {
-                fanout: 4,
-                max_levels: 3,
-                tuning: LeveledTuning {
-                    filter: FilterKind::Fence,
-                    rewrite_live_pct: 60,
-                    read_amp_watermark: 3,
-                },
-            },
-        };
-        let json = serde_json::to_string(&tuned).unwrap();
-        assert!(json.contains("\"filter\":\"fence\""), "{json}");
-        assert!(json.contains("\"rewrite_live_pct\":60"), "{json}");
-        assert!(json.contains("\"read_amp_watermark\":3"), "{json}");
-        let back: EngineSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tuned, "{json}");
-        let label = tuned.label::<u64>();
-        assert!(label.contains("fence"), "{label}");
-        assert!(label.contains("rw60"), "{label}");
-        assert!(label.contains("ra3"), "{label}");
         // The documented JSON shape parses, with a sharded base nested as a
         // full engine spec; a spec with no `policy` field (written before
         // leveled merges existed) parses as flat.
@@ -1923,9 +1860,6 @@ mod tests {
             "{\"family\":\"writebehind\",\"params\":{\"inner\":{\"family\":\"BS\",\"params\":{}},\"delta\":\"btree\",\"merge_threshold\":8,\"policy\":\"nope\"}}",
             "{\"family\":\"writebehind\",\"params\":{\"inner\":{\"family\":\"BS\",\"params\":{}},\"delta\":\"btree\",\"merge_threshold\":8,\"policy\":\"leveled\"}}",
             "{\"family\":\"writebehind\",\"params\":{\"inner\":{\"family\":\"BS\",\"params\":{}},\"delta\":\"btree\",\"merge_threshold\":8,\"policy\":\"leveled\",\"fanout\":1,\"max_levels\":2}}",
-            "{\"family\":\"writebehind\",\"params\":{\"inner\":{\"family\":\"BS\",\"params\":{}},\"delta\":\"btree\",\"merge_threshold\":8,\"policy\":\"leveled\",\"fanout\":4,\"max_levels\":2,\"filter\":\"nope\"}}",
-            "{\"family\":\"writebehind\",\"params\":{\"inner\":{\"family\":\"BS\",\"params\":{}},\"delta\":\"btree\",\"merge_threshold\":8,\"policy\":\"leveled\",\"fanout\":4,\"max_levels\":2,\"rewrite_live_pct\":101}}",
-            "{\"family\":\"writebehind\",\"params\":{\"inner\":{\"family\":\"BS\",\"params\":{}},\"delta\":\"btree\",\"merge_threshold\":8,\"policy\":\"leveled\",\"fanout\":4,\"max_levels\":2,\"read_amp_watermark\":300}}",
         ] {
             assert!(serde_json::from_str::<EngineSpec>(bad).is_err(), "{bad}");
         }

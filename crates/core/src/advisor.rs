@@ -355,7 +355,7 @@ impl<K: Key> Advisor<K> {
                 build_keys_total += data.len() as f64;
                 let probes = stride_sample(data, TRAIN_PROBES);
                 let stats = log2_error_stats(index.as_ref(), data, &probes);
-                let ns = time_lookup_ns(index.as_ref(), data, &probes);
+                let ns = min_lookup_ns(index.as_ref(), data, &probes);
                 xs.push(vec![stats.mean_log2, (data.len() as f64).log2()]);
                 ys.push(ns);
             }
@@ -398,7 +398,7 @@ impl<K: Key> Advisor<K> {
             let t = Instant::now();
             let index = cand.build(shard);
             let build_ns = t.elapsed().as_nanos() as f64;
-            let score = match &index {
+            let (predicted_ns, mean_log2) = match &index {
                 Ok(index) => {
                     let stats = log2_error_stats(index.as_ref(), shard, &probes);
                     let w = &self.weights[i];
@@ -408,43 +408,42 @@ impl<K: Key> Advisor<K> {
                     // candidate's build rate.
                     let lookup_ns =
                         w.w0 + w.w1 * stats.mean_log2 + w.w2 * (shard.len() as f64).log2();
-                    let predicted_ns = lookup_ns.max(0.0)
-                        + write_fraction * w.build_ns_per_key.max(build_ns / shard.len() as f64);
-                    CandidateScore {
-                        candidate: i,
-                        label: cand.label().to_string(),
-                        predicted_ns,
-                        runoff_ns: None,
-                        mean_log2: stats.mean_log2,
-                        build_ns,
-                    }
+                    let write_ns =
+                        write_fraction * w.build_ns_per_key.max(build_ns / shard.len() as f64);
+                    (lookup_ns.max(0.0) + write_ns, stats.mean_log2)
                 }
-                Err(_) => CandidateScore {
-                    candidate: i,
-                    label: cand.label().to_string(),
-                    predicted_ns: f64::INFINITY,
-                    runoff_ns: None,
-                    mean_log2: f64::INFINITY,
-                    build_ns,
-                },
+                Err(_) => (f64::INFINITY, f64::INFINITY),
             };
             built.push(index.ok());
-            scores.push(score);
+            scores.push(CandidateScore {
+                candidate: i,
+                label: cand.label().to_string(),
+                predicted_ns,
+                runoff_ns: None,
+                mean_log2,
+                build_ns,
+            });
         }
-        let favorite = scores.iter().map(|s| s.predicted_ns).fold(f64::INFINITY, f64::min);
+        let mut by_cost: Vec<f64> = scores.iter().map(|s| s.predicted_ns).collect();
+        by_cost.sort_by(f64::total_cmp);
+        let favorite = by_cost[0];
         if !favorite.is_finite() {
             return Err(BuildError::Unbuildable("no advisor candidate built on this shard".into()));
         }
+        // The shortlist never falls below the two cheapest predictions: a
+        // model trained through a timing burst can price its favorite at
+        // <= 0 ns, and a multiple of that would prune every competitor.
+        let shortlist_ns = (RUNOFF_FACTOR * favorite).max(*by_cost.get(1).unwrap_or(&favorite));
         // Measured runoff among the model's shortlist. The write charge is
         // re-applied on top of the measured lookup cost so the same
         // workload pressure shapes both rounds.
         let mut winner: Option<(usize, f64)> = None;
         for (i, score) in scores.iter_mut().enumerate() {
             let Some(index) = &built[i] else { continue };
-            if score.predicted_ns > RUNOFF_FACTOR * favorite {
+            if score.predicted_ns > shortlist_ns {
                 continue;
             }
-            let measured = time_lookup_ns(index.as_ref(), shard, &probes)
+            let measured = min_lookup_ns(index.as_ref(), shard, &probes)
                 + write_fraction
                     * self.weights[i].build_ns_per_key.max(score.build_ns / shard.len() as f64);
             score.runoff_ns = Some(measured);
@@ -572,6 +571,13 @@ fn time_lookup_ns<K: Key>(index: &dyn Index<K>, data: &SortedData<K>, probes: &[
     }
     black_box(acc);
     start.elapsed().as_nanos() as f64 / probes.len() as f64
+}
+
+/// The cheapest of three [`time_lookup_ns`] passes — what training and the
+/// runoff record, so one scheduler burst cannot become a model weight or
+/// decide a pick.
+fn min_lookup_ns<K: Key>(index: &dyn Index<K>, data: &SortedData<K>, probes: &[K]) -> f64 {
+    (0..3).map(|_| time_lookup_ns(index, data, probes)).fold(f64::INFINITY, f64::min)
 }
 
 /// Fit `ns = w0 + w1 * mean_log2 + w2 * log2(n)` by OLS, dropping
@@ -780,6 +786,28 @@ mod tests {
         let (pick, _) = advisor.score_shard(&shard, &AccessSnapshot::default()).unwrap();
         assert_eq!(pick.scores.len(), 2);
         assert!(pick.scores.iter().all(|s| s.predicted_ns.is_finite()));
+    }
+
+    /// A model whose favorite prices at <= 0 ns (trained through a timing
+    /// burst) must not talk the runoff out of measuring a competitor.
+    #[test]
+    fn non_positive_prediction_cannot_empty_the_runoff() {
+        let flat = |w0| CandidateWeights { w0, w1: 0.0, w2: 0.0, build_ns_per_key: 0.0 };
+        let advisor = Advisor {
+            candidates: vec![scan_candidate(), exact_candidate(), fullscan_candidate()],
+            weights: vec![flat(-40.0), flat(25.0), flat(1e6)],
+        };
+        let shard = SortedData::new((0..4_096u64).map(|i| i * 5).collect()).unwrap();
+        let (pick, _) = advisor.score_shard(&shard, &AccessSnapshot::default()).unwrap();
+        let entrants: Vec<&str> = pick
+            .scores
+            .iter()
+            .filter(|s| s.runoff_ns.is_some())
+            .map(|s| s.label.as_str())
+            .collect();
+        assert_eq!(entrants.len(), 2, "the two cheapest predictions run off: {pick:?}");
+        assert!(entrants.contains(&"exact"), "{pick:?}");
+        assert_eq!(pick.label, "exact", "the measurement, not the 0 ns prediction, decides");
     }
 
     #[test]

@@ -2,82 +2,29 @@
 //!
 //! A leveled stack pays one engine probe per run on negative or cold keys:
 //! key-range pruning cannot reject a point probe that lands inside every
-//! run's fence range. The filters here answer "might this run contain the
-//! key?" in a handful of cache-line touches, letting the read path skip
-//! runs that provably lack the key. Two designs are selectable per
-//! [`crate::writebehind::MergePolicy`]:
+//! run's fence range. The filter here answers "might this run contain the
+//! key?" in one cache-line touch, letting the read path skip runs that
+//! provably lack the key.
 //!
-//! * [`BlockedBloom`] — a blocked Bloom filter. One 64-byte block per
-//!   ~51 keys (~10 bits/key), all probe bits of a key land in a single
-//!   block, so a negative query costs one cache line. False-positive
-//!   rate is ~1% at the default sizing.
-//! * [`FenceBits`] — a bit array over equi-width buckets of the run's
-//!   key span. Cheaper to build and byte-addressable, but degrades on
-//!   skewed key spans; useful when keys are densely clustered.
+//! Every frozen run owns a [`BlockedBloom`] — a blocked Bloom filter. One
+//! 64-byte block per ~51 keys (~10 bits/key), all probe bits of a key land
+//! in a single block, so a negative query costs one cache line.
+//! False-positive rate is ~1% at this sizing.
 //!
-//! Both are *approximate* on the positive side and *exact* on the
-//! negative side: `may_contain` may return `true` for an absent key
-//! (false positive, costs one wasted probe) but never returns `false`
-//! for a present key (a false negative would silently drop data).
-//! Filters index every key frozen into the run **including tombstones**:
-//! a probe must still find the tombstone so it can shadow older tiers.
+//! It is *approximate* on the positive side and *exact* on the negative
+//! side: `may_contain` may return `true` for an absent key (false
+//! positive, costs one wasted probe) but never returns `false` for a
+//! present key (a false negative would silently drop data). A run's filter
+//! indexes every key frozen into it **including tombstones**: a probe must
+//! still find the tombstone so it can shadow older tiers.
 //!
 //! Filters are derived state, like learned models: rebuildable from the
 //! run's key column at any time, and persisted in the spool snapshot as
 //! an optional checksummed section purely so cold re-opens skip the
-//! rebuild.
+//! rebuild. The persisted bytes depend on [`splitmix64`] and the constants
+//! below; the golden test at the bottom of this file pins both.
 
-/// Which per-run filter a leveled policy builds at freeze time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FilterKind {
-    /// No filter: every in-range probe hits the run's engine.
-    None,
-    /// Blocked Bloom filter (default): ~10 bits/key, one cache line per query.
-    #[default]
-    Bloom,
-    /// Fence-bit array: equi-width bucket occupancy bits over the key span.
-    Fence,
-}
-
-impl FilterKind {
-    /// Stable token used in registry JSON and snapshot headers.
-    pub fn token(self) -> &'static str {
-        match self {
-            FilterKind::None => "none",
-            FilterKind::Bloom => "bloom",
-            FilterKind::Fence => "fence",
-        }
-    }
-
-    /// Inverse of [`FilterKind::token`].
-    pub fn from_token(tok: &str) -> Option<FilterKind> {
-        match tok {
-            "none" => Some(FilterKind::None),
-            "bloom" => Some(FilterKind::Bloom),
-            "fence" => Some(FilterKind::Fence),
-            _ => None,
-        }
-    }
-
-    /// Numeric code stored in the snapshot header's FILTER_KIND field.
-    pub fn code(self) -> u32 {
-        match self {
-            FilterKind::None => 0,
-            FilterKind::Bloom => 1,
-            FilterKind::Fence => 2,
-        }
-    }
-
-    /// Inverse of [`FilterKind::code`].
-    pub fn from_code(code: u32) -> Option<FilterKind> {
-        match code {
-            0 => Some(FilterKind::None),
-            1 => Some(FilterKind::Bloom),
-            2 => Some(FilterKind::Fence),
-            _ => None,
-        }
-    }
-}
+use crate::util::splitmix64;
 
 /// 64-byte Bloom block: 512 bits, all probe bits of a key land in one
 /// 64-bit word of it.
@@ -89,14 +36,10 @@ const BLOOM_PROBES: usize = 3;
 /// Filter sizing: bits budgeted per indexed key.
 const BLOOM_BITS_PER_KEY: usize = 10;
 
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Kind code a persisted [`BlockedBloom`] section carries in the snapshot
+/// header's `FILTER_KIND` field (docs/FORMATS.md) — the only kind written
+/// or read: code 2 (`fence`) was retired in PR 23.
+pub(crate) const SNAPSHOT_KIND: u32 = 1;
 
 /// Fast-range block selection: maps a full-width hash onto `0..n_blocks`
 /// with one widening multiply — no per-probe integer division.
@@ -125,7 +68,6 @@ fn probe_word_mask(h: u64) -> (usize, u64) {
 /// word load, and one mask compare.
 #[derive(Debug, Clone, Copy)]
 pub struct FilterProbe {
-    key: u64,
     h: u64,
     word: usize,
     mask: u64,
@@ -137,7 +79,7 @@ impl FilterProbe {
     pub fn new(key: u64) -> FilterProbe {
         let h = splitmix64(key);
         let (word, mask) = probe_word_mask(h);
-        FilterProbe { key, h, word, mask }
+        FilterProbe { h, word, mask }
     }
 }
 
@@ -177,7 +119,9 @@ impl BlockedBloom {
         self.blocks[block_of(p.h, self.blocks.len())][p.word] & p.mask == p.mask
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Serialized payload for the snapshot's optional filter section:
+    /// the block count, then every block word, little-endian.
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.blocks.len() * 64);
         out.extend_from_slice(&(self.blocks.len() as u64).to_le_bytes());
         for block in &self.blocks {
@@ -188,7 +132,8 @@ impl BlockedBloom {
         out
     }
 
-    fn from_bytes(bytes: &[u8]) -> Option<BlockedBloom> {
+    /// Inverse of [`BlockedBloom::to_bytes`]; `None` on a malformed payload.
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<BlockedBloom> {
         let n = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?) as usize;
         if n == 0 || bytes.len() != 8 + n * BLOCK_WORDS * 8 {
             return None;
@@ -198,182 +143,6 @@ impl BlockedBloom {
             blocks[i / BLOCK_WORDS][i % BLOCK_WORDS] = u64::from_le_bytes(chunk.try_into().ok()?);
         }
         Some(BlockedBloom { blocks })
-    }
-}
-
-/// Default fence-bit resolution: buckets per indexed key.
-const FENCE_BITS_PER_KEY: usize = 4;
-
-/// Fence-bit array: one occupancy bit per equi-width bucket of the run's
-/// `[min, max]` key span. A key maps to `(key - min) * n / span`; an unset
-/// bucket proves no key of the run lands there. Unlike a Bloom filter it
-/// can also answer *range* emptiness (`may_contain_from`), which lets
-/// `lower_bound` skip runs whose tail past the probe is provably empty.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FenceBits {
-    min: u64,
-    max: u64,
-    n_buckets: u64,
-    words: Vec<u64>,
-}
-
-impl FenceBits {
-    /// Build from key images; `min`/`max` must bound every key.
-    pub fn build(keys: impl Iterator<Item = u64>, n_hint: usize) -> FenceBits {
-        let keys: Vec<u64> = keys.collect();
-        let (min, max) = keys.iter().fold((u64::MAX, 0u64), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-        let (min, max) = if keys.is_empty() { (0, 0) } else { (min, max) };
-        let n_buckets = (n_hint.max(1) * FENCE_BITS_PER_KEY).max(1) as u64;
-        let mut fence =
-            FenceBits { min, max, n_buckets, words: vec![0u64; (n_buckets as usize).div_ceil(64)] };
-        for &k in &keys {
-            let b = fence.bucket(k);
-            fence.words[(b / 64) as usize] |= 1u64 << (b % 64);
-        }
-        fence
-    }
-
-    fn bucket(&self, key: u64) -> u64 {
-        let span = (self.max - self.min) as u128 + 1;
-        let off = (key - self.min) as u128;
-        ((off * self.n_buckets as u128 / span) as u64).min(self.n_buckets - 1)
-    }
-
-    /// `false` means the key is definitely absent from the indexed set.
-    #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
-        if key < self.min || key > self.max {
-            return false;
-        }
-        let b = self.bucket(key);
-        self.words[(b / 64) as usize] & (1u64 << (b % 64)) != 0
-    }
-
-    /// `false` means no indexed key is `>= lo` — sound pruning for
-    /// `lower_bound` probes.
-    pub fn may_contain_from(&self, lo: u64) -> bool {
-        if lo <= self.min {
-            return true;
-        }
-        if lo > self.max {
-            return false;
-        }
-        let start = self.bucket(lo);
-        let mut w = (start / 64) as usize;
-        let mut mask = !0u64 << (start % 64);
-        while w < self.words.len() {
-            if self.words[w] & mask != 0 {
-                return true;
-            }
-            mask = !0u64;
-            w += 1;
-        }
-        false
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.words.len() * 8);
-        out.extend_from_slice(&self.min.to_le_bytes());
-        out.extend_from_slice(&self.max.to_le_bytes());
-        out.extend_from_slice(&self.n_buckets.to_le_bytes());
-        for word in &self.words {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        out
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Option<FenceBits> {
-        let min = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
-        let max = u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?);
-        let n_buckets = u64::from_le_bytes(bytes.get(16..24)?.try_into().ok()?);
-        let n_words = (n_buckets as usize).div_ceil(64);
-        if n_buckets == 0 || min > max || bytes.len() != 24 + n_words * 8 {
-            return None;
-        }
-        let mut words = vec![0u64; n_words];
-        for (i, chunk) in bytes[24..].chunks_exact(8).enumerate() {
-            words[i] = u64::from_le_bytes(chunk.try_into().ok()?);
-        }
-        Some(FenceBits { min, max, n_buckets, words })
-    }
-}
-
-/// A built per-run filter of whichever kind the policy selected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunFilter {
-    /// Pass-through: admits every key (policy opted out of filtering).
-    None,
-    /// Register-blocked Bloom filter — point-probe pruning.
-    Bloom(BlockedBloom),
-    /// Bucketed fence bits over the key range — prunes range probes too.
-    Fence(FenceBits),
-}
-
-impl RunFilter {
-    /// Build a filter of `kind` over the key images of one frozen run.
-    /// Tombstoned keys must be included by the caller.
-    pub fn build(kind: FilterKind, keys: impl Iterator<Item = u64>, n: usize) -> RunFilter {
-        match kind {
-            FilterKind::None => RunFilter::None,
-            FilterKind::Bloom => RunFilter::Bloom(BlockedBloom::build(keys, n)),
-            FilterKind::Fence => RunFilter::Fence(FenceBits::build(keys, n)),
-        }
-    }
-
-    /// Which kind this filter is (for snapshot headers).
-    pub fn kind(&self) -> FilterKind {
-        match self {
-            RunFilter::None => FilterKind::None,
-            RunFilter::Bloom(_) => FilterKind::Bloom,
-            RunFilter::Fence(_) => FilterKind::Fence,
-        }
-    }
-
-    /// `false` proves the key is absent; `true` means "probe the run".
-    #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
-        self.may_contain_probe(&FilterProbe::new(key))
-    }
-
-    /// [`RunFilter::may_contain`] against a precomputed [`FilterProbe`] —
-    /// the read loops hash each lookup key once and consult every run's
-    /// filter with the same probe.
-    #[inline]
-    pub fn may_contain_probe(&self, p: &FilterProbe) -> bool {
-        match self {
-            RunFilter::None => true,
-            RunFilter::Bloom(b) => b.may_contain_probe(p),
-            RunFilter::Fence(f) => f.may_contain(p.key),
-        }
-    }
-
-    /// `false` proves no key `>= lo` exists. Only fence filters can
-    /// answer this; Bloom filters conservatively admit the probe.
-    #[inline]
-    pub fn may_contain_from(&self, lo: u64) -> bool {
-        match self {
-            RunFilter::Fence(f) => f.may_contain_from(lo),
-            _ => true,
-        }
-    }
-
-    /// Serialized payload for the snapshot's optional filter section.
-    /// [`RunFilter::None`] has no payload and is not persisted.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            RunFilter::None => Vec::new(),
-            RunFilter::Bloom(b) => b.to_bytes(),
-            RunFilter::Fence(f) => f.to_bytes(),
-        }
-    }
-
-    /// Inverse of [`RunFilter::to_bytes`]; `None` on a malformed payload.
-    pub fn from_bytes(kind: FilterKind, bytes: &[u8]) -> Option<RunFilter> {
-        match kind {
-            FilterKind::None => Some(RunFilter::None),
-            FilterKind::Bloom => BlockedBloom::from_bytes(bytes).map(RunFilter::Bloom),
-            FilterKind::Fence => FenceBits::from_bytes(bytes).map(RunFilter::Fence),
-        }
     }
 }
 
@@ -416,77 +185,36 @@ mod tests {
     }
 
     #[test]
-    fn fence_has_no_false_negatives_and_prunes_gaps() {
-        let keys: Vec<u64> = (0..1_000u64).map(|i| i * 1_000).collect();
-        let f = FenceBits::build(keys.iter().copied(), keys.len());
-        for &k in &keys {
-            assert!(f.may_contain(k), "false negative for {k}");
-        }
-        // Out-of-span probes are always rejected.
-        assert!(!f.may_contain(keys.last().unwrap() + 1));
-        // Range form: nothing at or past max+1, everything from 0.
-        assert!(!f.may_contain_from(keys.last().unwrap() + 1));
-        assert!(f.may_contain_from(0));
-        assert!(f.may_contain_from(*keys.last().unwrap()));
-    }
-
-    #[test]
-    fn fence_range_probe_matches_exhaustive_scan() {
-        let keys: Vec<u64> = vec![10, 11, 500, 501, 90_000];
-        let f = FenceBits::build(keys.iter().copied(), keys.len());
-        for lo in [0u64, 9, 10, 12, 499, 502, 89_999, 90_000, 90_001] {
-            let truth = keys.iter().any(|&k| k >= lo);
-            if !truth {
-                assert!(!f.may_contain_from(lo), "fence admitted empty tail from {lo}");
-            } else {
-                // The filter may conservatively admit, but must never
-                // reject a non-empty tail.
-                assert!(f.may_contain_from(lo), "fence rejected non-empty tail from {lo}");
-            }
-        }
-    }
-
-    #[test]
     fn filters_round_trip_through_bytes() {
         let keys = sample_keys(2_000);
-        for kind in [FilterKind::Bloom, FilterKind::Fence] {
-            let f = RunFilter::build(kind, keys.iter().copied(), keys.len());
-            let bytes = f.to_bytes();
-            let back = RunFilter::from_bytes(kind, &bytes).expect("round trip");
-            assert_eq!(f, back, "{kind:?} did not round-trip");
-        }
-        assert_eq!(RunFilter::from_bytes(FilterKind::None, &[]), Some(RunFilter::None));
+        let f = BlockedBloom::build(keys.iter().copied(), keys.len());
+        assert_eq!(BlockedBloom::from_bytes(&f.to_bytes()), Some(f));
     }
 
     #[test]
     fn malformed_filter_bytes_are_rejected() {
         let keys = sample_keys(100);
-        for kind in [FilterKind::Bloom, FilterKind::Fence] {
-            let mut bytes = RunFilter::build(kind, keys.iter().copied(), keys.len()).to_bytes();
-            bytes.pop();
-            assert!(RunFilter::from_bytes(kind, &bytes).is_none(), "{kind:?} truncated");
-            assert!(RunFilter::from_bytes(kind, &[]).is_none(), "{kind:?} empty");
-        }
+        let mut bytes = BlockedBloom::build(keys.iter().copied(), keys.len()).to_bytes();
+        bytes.pop();
+        assert!(BlockedBloom::from_bytes(&bytes).is_none(), "truncated");
+        assert!(BlockedBloom::from_bytes(&[]).is_none(), "empty");
     }
 
+    /// Persisted Bloom sections are a function of `splitmix64` and the
+    /// block layout: if either drifts, every filter already in a spool
+    /// starts rejecting keys its run holds. Values computed independently
+    /// of this crate.
     #[test]
-    fn kind_tokens_and_codes_round_trip() {
-        for kind in [FilterKind::None, FilterKind::Bloom, FilterKind::Fence] {
-            assert_eq!(FilterKind::from_token(kind.token()), Some(kind));
-            assert_eq!(FilterKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(FilterKind::from_token("weird"), None);
-        assert_eq!(FilterKind::from_code(9), None);
+    fn hash_and_serialized_layout_are_pinned() {
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+        let f = BlockedBloom::build([1u64, 2, 3].into_iter(), 3);
+        let words: [u64; 9] = [1, 0, 0, 0, 0, 0x8000_0040_0004, 0, 0x5_0008_0000_0000, 0x4_0018];
+        let golden: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(f.to_bytes(), golden);
     }
 
     #[test]
     fn single_key_and_empty_edge_cases() {
-        let one = RunFilter::build(FilterKind::Fence, std::iter::once(42), 1);
-        assert!(one.may_contain(42));
-        assert!(!one.may_contain(43));
-        assert!(one.may_contain_from(42));
-        assert!(!one.may_contain_from(43));
-        let bloom_one = RunFilter::build(FilterKind::Bloom, std::iter::once(42), 1);
-        assert!(bloom_one.may_contain(42));
+        assert!(BlockedBloom::build(std::iter::once(42), 1).may_contain(42));
     }
 }

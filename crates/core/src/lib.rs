@@ -98,7 +98,6 @@ pub use data::{DataBacking, SortedData};
 pub use dynamic::{BulkLoad, DynamicOrderedIndex, Op};
 pub use engine::{DynamicEngine, PagedEngine, QueryEngine, StaticEngine};
 pub use error::{BuildError, DataError};
-pub use filter::{FilterKind, RunFilter};
 pub use hist::LatencyHistogram;
 pub use index::{Capabilities, Index, IndexKind};
 pub use key::Key;
@@ -111,6 +110,4 @@ pub use store::{
     StorageProfile, StoreError, StoreStats, CONTENT_HASH_SEED, DEFAULT_PAGE_SIZE,
 };
 pub use trace::{CountingTracer, NullTracer, Tracer};
-pub use writebehind::{
-    LeveledTuning, MergeMode, MergePolicy, PinnedView, SpoolVerifyReport, WriteBehindEngine,
-};
+pub use writebehind::{MergeMode, MergePolicy, PinnedView, SpoolVerifyReport, WriteBehindEngine};

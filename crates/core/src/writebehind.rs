@@ -96,12 +96,11 @@
 //! read through the handle — point, batch, ordered; the same generation
 //! read kernel as the live engine, over the copied delta, with no lock and
 //! nothing recorded — sees exactly the mapping that was visible at pin
-//! time. Concurrent inserts, removes, merges, compactions, and density
-//! rewrites only ever publish *newer* generations, which the pin never
-//! observes; the pinned generation's
-//! memory is reclaimed by the same refcount rule as any in-flight
-//! reader's, when its last holder drops ([`WriteBehindEngine::active_pins`]
-//! counts outstanding pins).
+//! time. Concurrent inserts, removes, merges, and compactions only ever
+//! publish *newer* generations, which the pin never observes; the pinned
+//! generation's memory is reclaimed by the same refcount rule as any
+//! in-flight reader's, when its last holder drops
+//! ([`WriteBehindEngine::active_pins`] counts outstanding pins).
 //!
 //! Every immutable tier also carries a deterministic **content hash** of
 //! its logical entry stream ([`crate::store::content_hash_stream`]):
@@ -118,7 +117,7 @@ use crate::data::SortedData;
 use crate::dynamic::DynamicOrderedIndex;
 use crate::engine::QueryEngine;
 use crate::error::BuildError;
-use crate::filter::{FilterKind, FilterProbe, RunFilter};
+use crate::filter::{BlockedBloom, FilterProbe, SNAPSHOT_KIND};
 use crate::key::Key;
 use crate::store::{
     content_hash_fold, content_hash_stream, snapshot_content_hash, write_snapshot_with_filter,
@@ -168,89 +167,36 @@ pub enum MergePolicy {
     /// the bottom level (`max_levels - 1`) folds into the base instead.
     /// Bounded merge work per cycle, at the cost of read fan-out (up to
     /// `fanout * max_levels` run probes before the base answers — per-run
-    /// filters claw most of that back on negative and cold keys).
+    /// Bloom filters claw most of that back on negative and cold keys).
     Leveled {
         /// Runs a level holds before compaction (>= 2).
         fanout: usize,
         /// Number of run levels above the base (>= 1).
         max_levels: usize,
-        /// Filter and compaction-trigger knobs (defaults are back-compat:
-        /// Bloom filters on, both triggers off).
-        tuning: LeveledTuning,
     },
 }
 
-/// Tuning knobs for [`MergePolicy::Leveled`] beyond its shape: which
-/// per-run filter is built at freeze time, and the two adaptive compaction
-/// triggers (tombstone-density rewrites, read-amp early compaction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LeveledTuning {
-    /// Per-run membership filter built at freeze/compaction time and
-    /// consulted before any run probe on point reads.
-    pub filter: FilterKind,
-    /// Tombstone-density rewrite trigger: a run whose live fraction (the
-    /// percentage of non-tombstone entries) drops below this is rewritten
-    /// in place at the end of a merge cycle, dropping shadowed entries and
-    /// dead tombstones early. `0` disables the trigger.
-    pub rewrite_live_pct: u8,
-    /// Read-amp trigger: when the windowed average of run probes per stack
-    /// lookup exceeds this watermark, the fullest level is compacted early
-    /// (before it reaches `fanout`). `0` disables the trigger.
-    pub read_amp_watermark: u8,
-}
-
-impl LeveledTuning {
-    /// Back-compat defaults: Bloom filters on (filters never change
-    /// results, only skip provably fruitless probes), both triggers off.
-    pub const DEFAULT: LeveledTuning =
-        LeveledTuning { filter: FilterKind::Bloom, rewrite_live_pct: 0, read_amp_watermark: 0 };
-}
-
-impl Default for LeveledTuning {
-    fn default() -> Self {
-        LeveledTuning::DEFAULT
-    }
-}
-
 impl MergePolicy {
-    /// Leveled policy with default tuning — the common construction.
+    /// The leveled policy of the given shape.
     pub const fn leveled(fanout: usize, max_levels: usize) -> MergePolicy {
-        MergePolicy::Leveled { fanout, max_levels, tuning: LeveledTuning::DEFAULT }
-    }
-
-    /// The tuning knobs when leveled; defaults otherwise (a flat stack has
-    /// no runs to filter or rewrite).
-    pub fn tuning(self) -> LeveledTuning {
-        match self {
-            MergePolicy::Leveled { tuning, .. } => tuning,
-            MergePolicy::Flat => LeveledTuning::DEFAULT,
-        }
+        MergePolicy::Leveled { fanout, max_levels }
     }
 
     /// Validate the policy's parameters — the single definition of what a
     /// well-formed policy is, shared by [`WriteBehindEngine::with_policy`]
     /// and the bench registry's spec deserializer.
     pub fn validate(self) -> Result<(), BuildError> {
-        if let MergePolicy::Leveled { fanout, max_levels, tuning } = self {
+        if let MergePolicy::Leveled { fanout, max_levels } = self {
             if fanout < 2 {
                 return Err(BuildError::InvalidConfig("leveled fanout must be >= 2".into()));
             }
             if max_levels == 0 {
                 return Err(BuildError::InvalidConfig("leveled max_levels must be >= 1".into()));
             }
-            if tuning.rewrite_live_pct > 100 {
-                return Err(BuildError::InvalidConfig(
-                    "leveled rewrite_live_pct must be <= 100".into(),
-                ));
-            }
         }
         Ok(())
     }
 }
-
-/// Point lookups between read-amp trigger evaluations: the trigger fires
-/// on a windowed probes-per-lookup average, not a single unlucky batch.
-const READ_AMP_WINDOW: u64 = 256;
 
 /// One shadow entry: `Some(payload)` overwrites the key's older records,
 /// `None` (a tombstone) hides them.
@@ -339,7 +285,7 @@ struct Run<K: Key> {
     /// tiers). Consulted before any engine probe on point reads; may
     /// admit an absent key (one wasted probe) but never rejects a
     /// present one.
-    filter: RunFilter,
+    filter: BlockedBloom,
     /// Cached key bounds (`data.min_key()`, `data.max_key()`): `prunes`
     /// runs once per run on every stack lookup, and reading the bounds
     /// off the run struct itself avoids two pointer chases into the key
@@ -361,15 +307,11 @@ impl<K: Key> Run<K> {
     /// Build a run from sorted shadow entries (non-empty, unique keys);
     /// the filter and content hash are built in the same pass over the
     /// entry stream.
-    fn build(
-        entries: &[Shadow<K>],
-        factory: &BaseFactory<K>,
-        filter_kind: FilterKind,
-    ) -> Result<Run<K>, BuildError> {
+    fn build(entries: &[Shadow<K>], factory: &BaseFactory<K>) -> Result<Run<K>, BuildError> {
         let keys: Vec<K> = entries.iter().map(|e| e.0).collect();
         let payloads: Vec<u64> = entries.iter().map(|e| e.1.unwrap_or(0)).collect();
         let dead_keys: Vec<K> = entries.iter().filter(|e| e.1.is_none()).map(|e| e.0).collect();
-        let filter = RunFilter::build(filter_kind, keys.iter().map(|k| k.to_u64()), keys.len());
+        let filter = BlockedBloom::build(keys.iter().map(|k| k.to_u64()), keys.len());
         let content_hash = content_hash_stream(entries.iter().copied());
         let data = Arc::new(SortedData::with_payloads(keys, payloads).map_err(BuildError::Data)?);
         let engine = factory(Arc::clone(&data))?;
@@ -379,11 +321,6 @@ impl<K: Key> Run<K> {
 
     fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Live (non-tombstone) entries in this run.
-    fn live_len(&self) -> usize {
-        self.data.len() - self.dead_keys.len()
     }
 
     /// Filter check: `false` proves the key is not in this run.
@@ -506,7 +443,7 @@ struct Generation<K: Key> {
 struct ProbeEntry<K: Key> {
     min_key: K,
     max_key: K,
-    filter: RunFilter,
+    filter: BlockedBloom,
     run: Arc<Run<K>>,
 }
 
@@ -651,12 +588,6 @@ impl<K: Key> Generation<K> {
             // earlier (newer) candidate wins key ties, so `best` is always
             // the newest shadow state of the smallest candidate key.
             for entry in &self.probe_runs {
-                // A fence filter can prove the run's tail past `probe` is
-                // empty and skip the engine entirely; point filters (Bloom)
-                // conservatively admit every range probe.
-                if !entry.filter.may_contain_from(probe.to_u64()) {
-                    continue;
-                }
                 best = min_entry(best, entry.run.lower_bound(probe));
             }
             best = min_entry(best, self.base.lower_bound(probe).map(|(k, v)| (k, Some(v))));
@@ -797,14 +728,6 @@ fn fold_runs<'a, K: Key>(runs: impl IntoIterator<Item = &'a Arc<Run<K>>>) -> Vec
     merged
 }
 
-/// One binary search: does the base data array hold `key` at all? Used by
-/// the density-rewrite trigger to decide whether a tombstone still shadows
-/// anything (the write path's group-sum probe is overkill there).
-fn base_has_key<K: Key>(data: &SortedData<K>, key: K) -> bool {
-    let pos = data.lower_bound(key);
-    pos < data.len() && data.key(pos) == key
-}
-
 /// Merge sorted unique shadow entries over `base` records: a value entry
 /// replaces the *whole duplicate group* of its key (matching the engine's
 /// overwrite semantics, where a shadowed key's payload replaces the base's
@@ -900,12 +823,11 @@ impl Spool {
         name: &str,
         data: &SortedData<K>,
         dead: &[K],
-        filter: Option<&RunFilter>,
+        filter: Option<&BlockedBloom>,
     ) -> Result<(), StoreError> {
         let mut store = FileStore::create(&self.dir.join(name), self.page_size)?;
-        let filter_bytes = filter.map(|f| (f.kind().code(), f.to_bytes()));
-        let filter_section =
-            filter_bytes.as_ref().filter(|(_, b)| !b.is_empty()).map(|(c, b)| (*c, b.as_slice()));
+        let filter_bytes = filter.map(BlockedBloom::to_bytes);
+        let filter_section = filter_bytes.as_deref().map(|bytes| (SNAPSHOT_KIND, bytes));
         write_snapshot_with_filter(&mut store, data, dead, filter_section)?;
         crate::store::BlockStore::flush(&mut store)
     }
@@ -918,7 +840,7 @@ impl Spool {
         prefix: &str,
         data: &SortedData<K>,
         dead: &[K],
-        filter: Option<&RunFilter>,
+        filter: Option<&BlockedBloom>,
     ) -> String {
         let name = self.next_name(prefix);
         if let Err(e) = self.write_data(&name, data, dead, filter) {
@@ -1090,10 +1012,6 @@ struct Shared<K: Key> {
     failed_merges: AtomicU64,
     /// Compaction steps completed (level folds and base folds).
     compactions: AtomicU64,
-    /// Of those, compactions forced early by the read-amp watermark.
-    early_compactions: AtomicU64,
-    /// Tombstone-density-triggered in-place run rewrites completed.
-    density_rewrites: AtomicU64,
     /// Point lookups (`get` / `get_batch` keys) that consulted a non-empty
     /// run stack — the denominator of probes-per-lookup.
     stack_lookups: AtomicU64,
@@ -1103,11 +1021,6 @@ struct Shared<K: Key> {
     /// Run probes skipped because the run's filter proved the key absent
     /// (range-pruned probes are not counted; they were never candidates).
     filter_skips: AtomicU64,
-    /// Counter snapshots at the last read-amp evaluation, so the trigger
-    /// measures probes-per-lookup over the most recent window instead of
-    /// a sticky since-construction average.
-    read_amp_probes_mark: AtomicU64,
-    read_amp_lookups_mark: AtomicU64,
     /// Total entries written into new immutable structures by merges and
     /// compactions — the merge write volume; `merged_entries / merges` is
     /// the per-cycle merged volume the leveled policy bounds.
@@ -1204,12 +1117,8 @@ impl<K: Key> Shared<K> {
     /// persist it: the run and its filter hit the spool (tombstones
     /// serialized in the dead-key section) before any reader can see a
     /// generation holding it — freeze time is the durability boundary.
-    fn build_run(
-        &self,
-        entries: &[Shadow<K>],
-        filter_kind: FilterKind,
-    ) -> Result<Arc<Run<K>>, BuildError> {
-        let mut run = Run::build(entries, &self.base_factory, filter_kind)?;
+    fn build_run(&self, entries: &[Shadow<K>]) -> Result<Arc<Run<K>>, BuildError> {
+        let mut run = Run::build(entries, &self.base_factory)?;
         self.merged_entries.fetch_add(run.len() as u64, Ordering::Relaxed);
         if let Some(spool) = &self.spool {
             run.file = Some(spool.persist("run", &run.data, &run.dead_keys, Some(&run.filter)));
@@ -1302,8 +1211,8 @@ impl<K: Key> Shared<K> {
         let snapshot = frozen.drain_sorted();
         match self.policy {
             MergePolicy::Flat => self.merge_flat(&generation, &snapshot),
-            MergePolicy::Leveled { fanout, max_levels, tuning } => {
-                self.merge_leveled(&generation, &snapshot, fanout, max_levels, tuning)
+            MergePolicy::Leveled { fanout, max_levels } => {
+                self.merge_leveled(&generation, &snapshot, fanout, max_levels)
             }
         }
     }
@@ -1325,17 +1234,15 @@ impl<K: Key> Shared<K> {
     }
 
     /// Leveled policy: freeze the snapshot into a level-0 run, then run
-    /// bounded compactions while any level overflows, then rewrite any
-    /// run whose tombstone density crossed the policy's threshold.
+    /// bounded compactions while any level overflows.
     fn merge_leveled(
         &self,
         generation: &Generation<K>,
         snapshot: &[Shadow<K>],
         fanout: usize,
         max_levels: usize,
-        tuning: LeveledTuning,
     ) {
-        match self.build_run(snapshot, tuning.filter) {
+        match self.build_run(snapshot) {
             Ok(run) => {
                 let mut levels = generation.levels.clone();
                 if levels.is_empty() {
@@ -1343,10 +1250,7 @@ impl<K: Key> Shared<K> {
                 }
                 levels[0].insert(0, run);
                 self.publish(generation.restacked(levels), true, &self.merges);
-                self.compact(fanout, max_levels, tuning.filter);
-                if tuning.rewrite_live_pct > 0 {
-                    self.rewrite_dense_tombstone_runs(tuning);
-                }
+                self.compact(fanout, max_levels);
             }
             Err(e) => self.merge_failed(snapshot, "run build", e),
         }
@@ -1358,13 +1262,13 @@ impl<K: Key> Shared<K> {
     /// where tombstones are finally dropped. Runs are immutable and only
     /// the merge thread replaces generations, so each step builds outside
     /// the lock and publishes with one O(1) swap.
-    fn compact(&self, fanout: usize, max_levels: usize, filter_kind: FilterKind) {
+    fn compact(&self, fanout: usize, max_levels: usize) {
         loop {
             let generation = self.current();
             let Some(level) = generation.levels.iter().position(|l| l.len() >= fanout) else {
                 return;
             };
-            if !self.compact_level(&generation, level, max_levels, filter_kind) {
+            if !self.compact_level(&generation, level, max_levels) {
                 return;
             }
         }
@@ -1373,13 +1277,7 @@ impl<K: Key> Shared<K> {
     /// One compaction step: fold `level`'s runs (newest wins) into one run
     /// at the next level — or, at the bottom, into the base. Returns false
     /// when the build failed (the level is retained; retry next cycle).
-    fn compact_level(
-        &self,
-        generation: &Generation<K>,
-        level: usize,
-        max_levels: usize,
-        filter_kind: FilterKind,
-    ) -> bool {
+    fn compact_level(&self, generation: &Generation<K>, level: usize, max_levels: usize) -> bool {
         let merged = fold_runs(&generation.levels[level]);
         let mut levels = generation.levels.clone();
         levels[level].clear();
@@ -1395,7 +1293,7 @@ impl<K: Key> Shared<K> {
             // empty base is not representable — back in the bottom level
             // as one all-shadowing run (its run count drops below the
             // fanout, so compaction still terminates).
-            None => self.build_run(&merged, filter_kind).map(|run| {
+            None => self.build_run(&merged).map(|run| {
                 let target = if bottom { level } else { level + 1 };
                 if levels.len() <= target {
                     levels.resize_with(target + 1, Vec::new);
@@ -1416,99 +1314,6 @@ impl<K: Key> Shared<K> {
                 eprintln!("[writebehind] compaction build failed, level retained: {e}");
                 false
             }
-        }
-    }
-
-    /// Tombstone-density trigger: rewrite, in place, every run whose live
-    /// fraction dropped below `tuning.rewrite_live_pct` percent. The
-    /// rewrite drops entries shadowed by *newer frozen runs* (invisible
-    /// already — but never entries shadowed only by the volatile delta,
-    /// which has not crossed the durability boundary yet) and tombstones
-    /// whose key exists in no older run and not in the base (they shadow
-    /// nothing, so the tombstone-drop rule is satisfied early). The
-    /// visible mapping is unchanged by construction, so readers just see
-    /// a smaller run behind the same O(1) generation swap.
-    fn rewrite_dense_tombstone_runs(&self, tuning: LeveledTuning) {
-        let generation = self.current();
-        let mut levels: Vec<Vec<Option<Arc<Run<K>>>>> = generation
-            .levels
-            .iter()
-            .map(|level| level.iter().cloned().map(Some).collect())
-            .collect();
-        let flat: Vec<Arc<Run<K>>> = generation.runs_newest_first().cloned().collect();
-        let mut rewrote = false;
-        let mut position = 0usize; // index into `flat`, newest first
-        for (li, level) in levels.iter_mut().enumerate() {
-            for (ri, slot) in level.iter_mut().enumerate() {
-                let idx = position;
-                position += 1;
-                let run = &generation.levels[li][ri];
-                if run.len() == 0
-                    || run.live_len() * 100 >= tuning.rewrite_live_pct as usize * run.len()
-                {
-                    continue;
-                }
-                let newer = &flat[..idx];
-                let older = &flat[idx + 1..];
-                let mut kept: Vec<Shadow<K>> = Vec::with_capacity(run.len());
-                for (k, v) in run.all_entries() {
-                    let shadowed = newer.iter().any(|r| r.probe_in_data(k).is_some());
-                    if shadowed {
-                        continue; // a newer frozen run already answers for k
-                    }
-                    if v.is_none() {
-                        let covers_something = older.iter().any(|r| r.probe_in_data(k).is_some())
-                            || base_has_key(&generation.data, k);
-                        if !covers_something {
-                            continue; // dead tombstone: nothing left to hide
-                        }
-                    }
-                    kept.push((k, v));
-                }
-                if kept.len() == run.len() {
-                    continue; // nothing droppable; avoid a no-op rebuild
-                }
-                if kept.is_empty() {
-                    *slot = None; // whole run was shadow noise
-                    rewrote = true;
-                    continue;
-                }
-                match self.build_run(&kept, tuning.filter) {
-                    Ok(new_run) => {
-                        *slot = Some(new_run);
-                        rewrote = true;
-                    }
-                    Err(e) => {
-                        self.failed_merges.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("[writebehind] density rewrite failed, run retained: {e}");
-                    }
-                }
-            }
-        }
-        if !rewrote {
-            return;
-        }
-        let levels = levels.into_iter().map(|l| l.into_iter().flatten().collect()).collect();
-        self.publish(generation.restacked(levels), false, &self.density_rewrites);
-    }
-
-    /// One read-amp-forced compaction step. Caller must have won the
-    /// `merging` flag; folds the fullest level (at least two runs) down
-    /// the stack even though it has not reached its fanout yet.
-    fn run_early_compaction(&self, max_levels: usize, filter_kind: FilterKind) {
-        let _flag = MergeFlagGuard(&self.merging);
-        let generation = self.current();
-        let Some((level, _)) = generation
-            .levels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.len() >= 2)
-            .max_by_key(|(_, l)| l.len())
-        else {
-            return; // one run per level at most: fan-out is already minimal
-        };
-        if self.compact_level(&generation, level, max_levels, filter_kind) {
-            self.early_compactions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1722,14 +1527,30 @@ impl<K: Key> WriteBehindEngine<K> {
                     .into(),
             ));
         }
-        type Loaded<K> = (SortedData<K>, Vec<K>, Option<(u32, Vec<u8>)>, u64);
+        type Loaded<K> = (SortedData<K>, Vec<K>, Option<BlockedBloom>, u64);
         let load = |name: &String| -> Result<Loaded<K>, BuildError> {
             let snap_err =
                 |e: StoreError| BuildError::Unbuildable(format!("spool snapshot {name}: {e}"));
             let paged = PagedData::<K>::open_file(&dir.join(name), StorageProfile::RAM)
                 .map_err(snap_err)?;
             let (data, dead) = paged.load().map_err(snap_err)?;
-            let filter = paged.read_filter().map_err(snap_err)?;
+            // A filter section of any kind but Bloom is refused by name:
+            // its bytes are not Bloom blocks, and quietly rebuilding would
+            // hide that the spool asks for a filter this build retired.
+            let filter = match paged.read_filter().map_err(snap_err)? {
+                Some((SNAPSHOT_KIND, bytes)) => Some(
+                    BlockedBloom::from_bytes(&bytes)
+                        .ok_or_else(|| bad(format!("snapshot {name}: malformed bloom filter")))?,
+                ),
+                Some((kind, _)) => {
+                    let retired = if kind == 2 { "fence" } else { "unknown" };
+                    return Err(snap_err(StoreError::BadConfig(format!(
+                        "filter section of kind {kind} ({retired}); only Bloom sections (kind \
+                         {SNAPSHOT_KIND}) are read since the fence filter was retired in PR 23"
+                    ))));
+                }
+                None => None,
+            };
             // Re-derive the logical content hash from the loaded sections
             // and pin it against both the snapshot's own header and the
             // manifest's `hash` line (each absent in files/manifests from
@@ -1765,24 +1586,12 @@ impl<K: Key> WriteBehindEngine<K> {
                 let (data, dead_keys, stored_filter, content_hash) = load(file)?;
                 let data = Arc::new(data);
                 let engine = (base_factory)(Arc::clone(&data))?;
-                // Filters are derived state: deserialize the persisted one
-                // when the snapshot carries it, rebuild from the key column
-                // otherwise (spools written before filters existed).
-                let filter = match stored_filter {
-                    Some((code, bytes)) => {
-                        let kind = FilterKind::from_code(code).ok_or_else(|| {
-                            bad(format!("snapshot {file}: unknown filter kind {code}"))
-                        })?;
-                        RunFilter::from_bytes(kind, &bytes).ok_or_else(|| {
-                            bad(format!("snapshot {file}: malformed {} filter", kind.token()))
-                        })?
-                    }
-                    None => RunFilter::build(
-                        policy.tuning().filter,
-                        data.keys().iter().map(|k| k.to_u64()),
-                        data.len(),
-                    ),
-                };
+                // Filters are derived state: the persisted one when the
+                // snapshot carries it, rebuilt from the key column otherwise
+                // (spools written before filters existed).
+                let filter = stored_filter.unwrap_or_else(|| {
+                    BlockedBloom::build(data.keys().iter().map(|k| k.to_u64()), data.len())
+                });
                 let (min_key, max_key) = (data.min_key(), data.max_key());
                 level.push(Arc::new(Run {
                     engine,
@@ -1856,13 +1665,9 @@ impl<K: Key> WriteBehindEngine<K> {
                 merges: AtomicU64::new(0),
                 failed_merges: AtomicU64::new(0),
                 compactions: AtomicU64::new(0),
-                early_compactions: AtomicU64::new(0),
-                density_rewrites: AtomicU64::new(0),
                 stack_lookups: AtomicU64::new(0),
                 stack_probes: AtomicU64::new(0),
                 filter_skips: AtomicU64::new(0),
-                read_amp_probes_mark: AtomicU64::new(0),
-                read_amp_lookups_mark: AtomicU64::new(0),
                 merged_entries: AtomicU64::new(0),
                 reads: AtomicU64::new(0),
                 writes: AtomicU64::new(0),
@@ -1967,18 +1772,12 @@ impl<K: Key> WriteBehindEngine<K> {
         prev
     }
 
-    /// Force a merge now (if one is not already running), regardless of
-    /// the threshold. Respects the engine's [`MergeMode`].
+    /// Force a merge now (if one is not already running — at most one
+    /// runs at a time), regardless of the threshold: inline under
+    /// [`MergeMode::Sync`], on a spawned thread under
+    /// [`MergeMode::Background`]. The cycle clears the in-flight flag on
+    /// every exit path, a panic included.
     pub fn force_merge(&self) {
-        self.start_merge_job(Shared::run_merge);
-    }
-
-    /// Win the merge flag — at most one job runs at a time; losing means a
-    /// merge is already in flight, and it will reduce fan-out itself — and
-    /// run `job`: inline under [`MergeMode::Sync`], on a spawned thread
-    /// under [`MergeMode::Background`]. The job holds a [`MergeFlagGuard`],
-    /// which clears the flag on every exit path.
-    fn start_merge_job(&self, job: impl FnOnce(&Shared<K>) + Send + 'static) {
         if self
             .shared
             .merging
@@ -1988,7 +1787,7 @@ impl<K: Key> WriteBehindEngine<K> {
             return;
         }
         match self.mode {
-            MergeMode::Sync => job(&self.shared),
+            MergeMode::Sync => self.shared.run_merge(),
             MergeMode::Background => {
                 let mut slot = self.worker.lock().expect("worker slot");
                 // The previous worker finished (we won the flag); reap it.
@@ -1998,7 +1797,7 @@ impl<K: Key> WriteBehindEngine<K> {
                     let _ = handle.join();
                 }
                 let shared = Arc::clone(&self.shared);
-                *slot = Some(std::thread::spawn(move || job(&shared)));
+                *slot = Some(std::thread::spawn(move || shared.run_merge()));
             }
         }
     }
@@ -2062,17 +1861,6 @@ impl<K: Key> WriteBehindEngine<K> {
         self.shared.compactions.load(Ordering::Relaxed)
     }
 
-    /// Compactions forced early by the read-amp watermark — a subset of
-    /// [`WriteBehindEngine::compactions`].
-    pub fn early_compactions(&self) -> u64 {
-        self.shared.early_compactions.load(Ordering::Relaxed)
-    }
-
-    /// Tombstone-density-triggered in-place run rewrites completed.
-    pub fn density_rewrites(&self) -> u64 {
-        self.shared.density_rewrites.load(Ordering::Relaxed)
-    }
-
     /// Point lookups (`get` and `get_batch` keys missing the delta) that
     /// consulted a non-empty run stack.
     pub fn stack_lookups(&self) -> u64 {
@@ -2130,9 +1918,7 @@ impl<K: Key> WriteBehindEngine<K> {
         }
     }
 
-    /// Add a non-empty tally to the read-amp counters and, when the policy
-    /// arms a read-amp watermark, evaluate the windowed probes-per-lookup
-    /// average once per [`READ_AMP_WINDOW`] lookups.
+    /// Add a non-empty tally to the read-amp counters.
     fn record_stack_lookups(&self, tally: StackTally) {
         let StackTally { lookups, probes, skips } = tally;
         let shared = &self.shared;
@@ -2142,27 +1928,7 @@ impl<K: Key> WriteBehindEngine<K> {
         if skips != 0 {
             shared.filter_skips.fetch_add(skips, Ordering::Relaxed);
         }
-        let before = shared.stack_lookups.fetch_add(lookups, Ordering::Relaxed);
-        let MergePolicy::Leveled { max_levels, tuning, .. } = shared.policy else {
-            return;
-        };
-        let watermark = tuning.read_amp_watermark as u64;
-        if watermark == 0 || before / READ_AMP_WINDOW == (before + lookups) / READ_AMP_WINDOW {
-            return;
-        }
-        let total_probes = shared.stack_probes.load(Ordering::Relaxed);
-        let total_lookups = shared.stack_lookups.load(Ordering::Relaxed);
-        // Saturating: a racing evaluator may have advanced a mark past the
-        // totals this thread read; the window is then simply empty here.
-        let d_probes = total_probes
-            .saturating_sub(shared.read_amp_probes_mark.swap(total_probes, Ordering::Relaxed));
-        let d_lookups = total_lookups
-            .saturating_sub(shared.read_amp_lookups_mark.swap(total_lookups, Ordering::Relaxed));
-        if d_lookups == 0 || d_probes <= watermark * d_lookups {
-            return;
-        }
-        // Read-amp trigger: fold the fullest level early.
-        self.start_merge_job(move |s| s.run_early_compaction(max_levels, tuning.filter));
+        shared.stack_lookups.fetch_add(lookups, Ordering::Relaxed);
     }
 
     /// Batch path shared by the serial and parallel entry points: delta
@@ -2268,11 +2034,11 @@ impl<K: Key> WriteBehindEngine<K> {
     /// frozen), taken under a single read-lock acquisition. Every read
     /// through the returned [`PinnedView`] — point, batch, ordered —
     /// answers from exactly the mapping visible at this instant;
-    /// concurrent inserts, removes, merges, compactions, density
-    /// rewrites, and retunes publish *newer* generations the pin never
-    /// observes. The pin costs `O(delta)` to take (the immutable tiers
-    /// are shared, not copied) and holds its generation's memory alive
-    /// until dropped — the same refcount rule as any in-flight reader.
+    /// concurrent inserts, removes, merges, compactions, and retunes
+    /// publish *newer* generations the pin never observes. The pin costs
+    /// `O(delta)` to take (the immutable tiers are shared, not copied) and
+    /// holds its generation's memory alive until dropped — the same
+    /// refcount rule as any in-flight reader.
     pub fn snapshot(&self) -> PinnedView<K> {
         let (generation, delta, visible_len) = {
             let st = self.shared.read();
@@ -2471,8 +2237,8 @@ impl Drop for PinGuard {
 /// (base + run stack, shared by `Arc`) plus a frozen copy of the delta as
 /// of pin time. Implements [`QueryEngine`], and every read answers from
 /// exactly the mapping that was visible when the pin was taken — writes,
-/// merges, compactions, and rewrites racing the reads land in newer
-/// generations this handle never observes.
+/// merges, and compactions racing the reads land in newer generations
+/// this handle never observes.
 ///
 /// Cloning is cheap (two `Arc` clones and a counter bump) and shares the
 /// pin. The pinned generation's memory is reclaimed when the last clone
@@ -2505,7 +2271,7 @@ impl<K: Key> Clone for PinnedView<K> {
 }
 
 impl<K: Key> PinnedView<K> {
-    /// The pinned generation's epoch (each merge/compaction/rewrite swap
+    /// The pinned generation's epoch (each merge/compaction swap
     /// increments the engine's; this one is frozen at pin time).
     pub fn epoch(&self) -> u64 {
         self.generation.epoch

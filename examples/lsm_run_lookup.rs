@@ -28,9 +28,6 @@ fn main() {
     //   {"family":"writebehind","params":{"inner":{"family":"RS",...},
     //    "delta":"btree","merge_threshold":8000,
     //    "policy":"leveled","fanout":4,"max_levels":2}}
-    // (Leveled specs may also carry "filter", "rewrite_live_pct", and
-    // "read_amp_watermark"; the defaults — bloom filters, triggers off —
-    // are omitted from the JSON.)
     // The leveled policy is the true LSM shape: each frozen delta becomes
     // an immutable run with its own RadixSpline and a per-run Bloom
     // filter, and compaction folds level-locally instead of rebuilding

@@ -1,32 +1,22 @@
-//! Oracle-backed harness for the per-run filters and tombstone-aware
-//! compaction introduced by the leveled tuning knobs: `BTreeMap`-oracle
-//! property tests churning through at least 3 compactions and a
-//! deterministic tombstone-density rewrite under both filter kinds, an
-//! FP-allowed / FN-never audit over deleted and never-inserted keys via
-//! `run_filter_audit`, a read-amp watermark trigger check, and spool
+//! Oracle-backed harness for the per-run Bloom filters and tombstone-aware
+//! compaction of the leveled policy: `BTreeMap`-oracle property tests
+//! churning through at least 3 compactions, an FP-allowed / FN-never audit
+//! over deleted and never-inserted keys via `run_filter_audit`, and spool
 //! round-trips proving filters survive a cold re-open bit-exactly (same
-//! answers, same skip counters) while a corrupted filter section fails
-//! loudly instead of mis-answering.
+//! answers, same skip counters) while a corrupted filter section — or one
+//! of a retired filter kind — fails loudly instead of mis-answering.
 
 use proptest::prelude::*;
 use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd::core::store::page_checksum;
 use sosd::core::writebehind::BaseFactory;
 use sosd::core::{
-    FilterKind, LeveledTuning, MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData,
-    StaticEngine, WriteBehindEngine,
+    MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData, StaticEngine,
+    WriteBehindEngine,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A leveled policy with explicit tuning, the subject of this suite.
-fn tuned(kind: FilterKind, fanout: usize, max_levels: usize, rewrite_live_pct: u8) -> MergePolicy {
-    MergePolicy::Leveled {
-        fanout,
-        max_levels,
-        tuning: LeveledTuning { filter: kind, rewrite_live_pct, read_amp_watermark: 0 },
-    }
-}
 
 /// Build a write-behind engine over `keys` plus the `BTreeMap` oracle that
 /// mirrors it (payload convention shared with `tests/writebehind_engine.rs`).
@@ -84,128 +74,69 @@ fn churn_stream() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
     )
 }
 
-/// Drive one deterministic insert → tombstone → re-insert cycle through a
-/// side key region, forcing a freeze after each phase. After the third
-/// merge the all-tombstone middle run is fully shadowed by the newer
-/// re-insert run, so a density rewrite (threshold < 100% live) must drop it.
-fn side_cycle(engine: &WriteBehindEngine<u64>, oracle: &mut BTreeMap<u64, u64>, salt: u64) {
-    let side: Vec<u64> = (0..24u64).map(|i| 0x4000_0000_0000 + salt * 4096 + i * 3).collect();
-    for &k in &side {
-        assert_eq!(engine.insert(k, k ^ salt), oracle.insert(k, k ^ salt));
-    }
-    engine.force_merge();
-    for &k in &side {
-        assert_eq!(engine.remove(k), oracle.remove(&k));
-    }
-    engine.force_merge();
-    for &k in &side {
-        assert_eq!(engine.insert(k, k ^ salt ^ 1), oracle.insert(k, k ^ salt ^ 1));
-    }
-    engine.force_merge();
-    engine.wait_for_merges();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Churn against the `BTreeMap` oracle with per-run filters on, for
-    /// both filter kinds: a compaction-heavy stack (fanout 2) driven
-    /// through >= 3 compactions, then a wide stack (fanout 8) driven
-    /// through >= 1 tombstone-density rewrite. Every write's returned
-    /// previous payload and every probe must agree with the oracle at
-    /// every step — a filter false negative would surface as a missing
-    /// key or a resurrected tombstone here.
+    /// Churn against the `BTreeMap` oracle with per-run filters on: a
+    /// compaction-heavy stack (fanout 2 folds constantly, so filters are
+    /// rebuilt at every level fold) driven through >= 3 compactions. Every
+    /// write's returned previous payload and every probe must agree with
+    /// the oracle at every step — a filter false negative would surface as
+    /// a missing key or a resurrected tombstone here.
     #[test]
     fn filtered_churn_agrees_with_btreemap_oracle(
         keys in base_keys(),
         ops in churn_stream(),
     ) {
-        for kind in [FilterKind::Bloom, FilterKind::Fence] {
-            // Compaction-heavy: fanout 2 folds constantly, so filters are
-            // rebuilt at every level fold and the rewrite scan runs after
-            // each merge.
-            let policy = tuned(kind, 2, 2, 60);
-            let (engine, mut oracle) = build_with_policy(&keys, 20, MergeMode::Sync, policy);
-            for (step, &(action, k, v)) in ops.iter().enumerate() {
-                if action % 3 == 0 {
-                    prop_assert_eq!(
-                        engine.remove(k), oracle.remove(&k),
-                        "remove {} step {} ({:?})", k, step, kind
-                    );
-                    prop_assert_eq!(engine.get(k), None, "removed {} still visible", k);
-                } else {
-                    prop_assert_eq!(
-                        engine.insert(k, v), oracle.insert(k, v),
-                        "insert {} step {} ({:?})", k, step, kind
-                    );
-                    prop_assert_eq!(engine.get(k), Some(v), "read-your-write {}", k);
-                }
-                let probe = k.wrapping_mul(3).wrapping_add(step as u64);
-                prop_assert_eq!(engine.get(probe), oracle.get(&probe).copied(), "get {}", probe);
+        let policy = MergePolicy::leveled(2, 2);
+        let (engine, mut oracle) = build_with_policy(&keys, 20, MergeMode::Sync, policy);
+        for (step, &(action, k, v)) in ops.iter().enumerate() {
+            if action % 3 == 0 {
+                prop_assert_eq!(engine.remove(k), oracle.remove(&k), "remove {} step {}", k, step);
+                prop_assert_eq!(engine.get(k), None, "removed {} still visible", k);
+            } else {
                 prop_assert_eq!(
-                    engine.lower_bound(probe),
-                    oracle.range(probe..).next().map(|(&k, &v)| (k, v)),
-                    "lower_bound {}", probe
+                    engine.insert(k, v), oracle.insert(k, v),
+                    "insert {} step {}", k, step
                 );
-                if step % 50 == 25 {
-                    engine.force_merge();
-                    let (lo, hi) = (k.saturating_sub(40_000), k.saturating_add(40_000));
-                    let want: Vec<(u64, u64)> =
-                        oracle.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
-                    prop_assert_eq!(engine.range(lo, hi), want, "range [{}, {})", lo, hi);
-                }
+                prop_assert_eq!(engine.get(k), Some(v), "read-your-write {}", k);
             }
-            // Tombstone/re-insert filler until the compaction bar is met.
-            let mut filler = 0x7EED_0000u64;
-            while engine.merges_completed() < 3 || engine.compactions() < 3 {
-                filler += 1;
-                let v = filler ^ 0x5A5A;
-                prop_assert_eq!(engine.insert(filler, v), oracle.insert(filler, v));
-                prop_assert_eq!(engine.remove(filler), oracle.remove(&filler));
-                prop_assert_eq!(engine.insert(filler, v ^ 1), oracle.insert(filler, v ^ 1));
-                if filler.is_multiple_of(8) {
-                    engine.force_merge();
-                }
-            }
-            prop_assert!(engine.compactions() >= 3, "compaction bar ({:?})", kind);
-            engine.force_merge();
-            let all: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-            let hi_exclusive: Vec<(u64, u64)> =
-                all.iter().copied().filter(|e| e.0 < u64::MAX).collect();
-            prop_assert_eq!(engine.range(0, u64::MAX), hi_exclusive, "final range ({:?})", kind);
-            let batch: Vec<u64> = ops.iter().map(|&(_, k, _)| k).collect();
-            for (&k, got) in batch.iter().zip(&engine.lookup_batch(&batch)) {
-                prop_assert_eq!(*got, oracle.get(&k).copied(), "batch {} ({:?})", k, kind);
-            }
-
-            // Wide stack: fanout 8 leaves freezes unfolded, so the
-            // insert → tombstone → re-insert side cycle deterministically
-            // strands a 0%-live run behind a newer shadowing run, and the
-            // 60% density watermark must rewrite it away.
-            let policy = tuned(kind, 8, 3, 60);
-            let (engine, mut oracle) = build_with_policy(&keys, 64, MergeMode::Sync, policy);
-            for (step, &(action, k, v)) in ops.iter().enumerate() {
-                if action % 3 == 0 {
-                    prop_assert_eq!(engine.remove(k), oracle.remove(&k), "wide remove {}", k);
-                } else {
-                    prop_assert_eq!(engine.insert(k, v), oracle.insert(k, v), "wide insert {}", k);
-                }
-                if step % 60 == 30 {
-                    engine.force_merge();
-                }
-            }
-            side_cycle(&engine, &mut oracle, 7);
-            prop_assert!(
-                engine.density_rewrites() >= 1,
-                "density rewrite never fired ({:?})", kind
+            let probe = k.wrapping_mul(3).wrapping_add(step as u64);
+            prop_assert_eq!(engine.get(probe), oracle.get(&probe).copied(), "get {}", probe);
+            prop_assert_eq!(
+                engine.lower_bound(probe),
+                oracle.range(probe..).next().map(|(&k, &v)| (k, v)),
+                "lower_bound {}", probe
             );
-            for (&k, &v) in &oracle {
-                prop_assert_eq!(engine.get(k), Some(v), "post-rewrite get {} ({:?})", k, kind);
+            if step % 50 == 25 {
+                engine.force_merge();
+                let (lo, hi) = (k.saturating_sub(40_000), k.saturating_add(40_000));
+                let want: Vec<(u64, u64)> =
+                    oracle.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+                prop_assert_eq!(engine.range(lo, hi), want, "range [{}, {})", lo, hi);
             }
-            let batch: Vec<u64> = ops.iter().map(|&(_, k, _)| k).collect();
-            for (&k, got) in batch.iter().zip(&engine.lookup_batch(&batch)) {
-                prop_assert_eq!(*got, oracle.get(&k).copied(), "wide batch {} ({:?})", k, kind);
+        }
+        // Tombstone/re-insert filler until the compaction bar is met.
+        let mut filler = 0x7EED_0000u64;
+        while engine.merges_completed() < 3 || engine.compactions() < 3 {
+            filler += 1;
+            let v = filler ^ 0x5A5A;
+            prop_assert_eq!(engine.insert(filler, v), oracle.insert(filler, v));
+            prop_assert_eq!(engine.remove(filler), oracle.remove(&filler));
+            prop_assert_eq!(engine.insert(filler, v ^ 1), oracle.insert(filler, v ^ 1));
+            if filler.is_multiple_of(8) {
+                engine.force_merge();
             }
+        }
+        prop_assert!(engine.compactions() >= 3, "compaction bar");
+        engine.force_merge();
+        let all: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+        let hi_exclusive: Vec<(u64, u64)> =
+            all.iter().copied().filter(|e| e.0 < u64::MAX).collect();
+        prop_assert_eq!(engine.range(0, u64::MAX), hi_exclusive, "final range");
+        let batch: Vec<u64> = ops.iter().map(|&(_, k, _)| k).collect();
+        for (&k, got) in batch.iter().zip(&engine.lookup_batch(&batch)) {
+            prop_assert_eq!(*got, oracle.get(&k).copied(), "batch {}", k);
         }
     }
 }
@@ -213,116 +144,72 @@ proptest! {
 /// The filter contract, audited run by run: a filter may admit an absent
 /// key (false positive — one wasted probe) but must NEVER reject a present
 /// one, where "present" includes tombstones (a skipped tombstone would
-/// resurrect older values). Builds a deep interleaved stack under each
-/// filter kind, deletes a whole region, then audits every deleted key and
-/// a sweep of never-inserted keys via `run_filter_audit`.
+/// resurrect older values). Builds a deep interleaved stack, deletes a
+/// whole region, then audits every deleted key and a sweep of
+/// never-inserted keys via `run_filter_audit`.
 #[test]
 fn filters_may_false_positive_but_never_false_negative() {
     const BASE: u64 = 2_000;
     const RUN_KEYS: u64 = 400;
     let top = BASE * 8; // inserted regions live above every base key
-    for kind in [FilterKind::Bloom, FilterKind::Fence] {
-        let keys: Vec<u64> = (0..BASE).map(|i| i * 8).collect();
-        let policy = tuned(kind, 8, 3, 0);
-        let (engine, mut oracle) = build_with_policy(&keys, 4_096, MergeMode::Sync, policy);
-
-        // Six interleaved runs: run r holds keys ≡ r (mod 8) above `top`,
-        // so every run's [min, max] spans the whole region and range
-        // pruning alone can never skip — only filters can.
-        for r in 0..6u64 {
-            for j in 0..RUN_KEYS {
-                let k = top + j * 8 + r;
-                assert_eq!(engine.insert(k, k ^ 0xFEED), oracle.insert(k, k ^ 0xFEED));
-            }
-            engine.force_merge();
-        }
-        // Delete all of run 2's region plus some base keys: a seventh,
-        // tombstone-bearing run the filters must index too.
-        let mut deleted: Vec<u64> = (0..RUN_KEYS).map(|j| top + j * 8 + 2).collect();
-        deleted.extend((0..64u64).map(|i| i * 16)); // even base keys
-        for &k in &deleted {
-            assert_eq!(engine.remove(k), oracle.remove(&k), "remove {k} ({kind:?})");
-        }
-        engine.force_merge();
-        assert!(engine.run_count() >= 7, "stack too shallow: {} ({kind:?})", engine.run_count());
-
-        // Never-inserted keys, both inside the interleaved span (offsets 6
-        // and 7 mod 8) and between base keys.
-        let mut never: Vec<u64> =
-            (0..RUN_KEYS).flat_map(|j| [top + j * 8 + 6, top + j * 8 + 7]).collect();
-        never.extend((0..BASE).step_by(3).map(|i| i * 8 + 5));
-
-        for &k in deleted.iter().chain(&never) {
-            assert_eq!(engine.get(k), oracle.get(&k).copied(), "get {k} ({kind:?})");
-            for (run, &(admits, present)) in engine.run_filter_audit(k).iter().enumerate() {
-                assert!(
-                    !present || admits,
-                    "false negative: run {run} holds {k} but its filter rejects it ({kind:?})"
-                );
-            }
-        }
-        // Tombstones are indexed: each deleted run-region key is present
-        // (as a tombstone) in at least one admitting run.
-        for &k in &deleted[..RUN_KEYS as usize] {
-            let audit = engine.run_filter_audit(k);
-            assert!(
-                audit.iter().any(|&(admits, present)| admits && present),
-                "tombstone for {k} invisible to every filter ({kind:?})"
-            );
-        }
-        // Live keys still answer exactly — with this many runs a silent
-        // false negative anywhere would show up here.
-        for (&k, &v) in &oracle {
-            assert_eq!(engine.get(k), Some(v), "live key {k} ({kind:?})");
-        }
-        if kind == FilterKind::Bloom {
-            assert!(
-                engine.filter_skips() > 0,
-                "bloom filters never skipped a probe over {} absent-key lookups",
-                deleted.len() + never.len()
-            );
-        }
-    }
-}
-
-/// The read-amp watermark: with filters off (`FilterKind::None`) and an
-/// interleaved stack, every lookup probes every run, so the windowed
-/// probes-per-lookup average crosses the watermark and must force a
-/// compaction before the stack's natural fanout would.
-#[test]
-fn read_amp_watermark_forces_early_compaction() {
-    let keys: Vec<u64> = (0..2_000u64).map(|i| i * 8).collect();
-    let policy = MergePolicy::Leveled {
-        fanout: 8,
-        max_levels: 2,
-        tuning: LeveledTuning {
-            filter: FilterKind::None,
-            rewrite_live_pct: 0,
-            read_amp_watermark: 1,
-        },
-    };
+    let keys: Vec<u64> = (0..BASE).map(|i| i * 8).collect();
+    let policy = MergePolicy::leveled(8, 3);
     let (engine, mut oracle) = build_with_policy(&keys, 4_096, MergeMode::Sync, policy);
-    let top = 2_000u64 * 8;
-    for r in 0..4u64 {
-        for j in 0..200u64 {
+
+    // Six interleaved runs: run r holds keys ≡ r (mod 8) above `top`,
+    // so every run's [min, max] spans the whole region and range
+    // pruning alone can never skip — only filters can.
+    for r in 0..6u64 {
+        for j in 0..RUN_KEYS {
             let k = top + j * 8 + r;
-            engine.insert(k, k);
-            oracle.insert(k, k);
+            assert_eq!(engine.insert(k, k ^ 0xFEED), oracle.insert(k, k ^ 0xFEED));
         }
         engine.force_merge();
     }
-    let before = engine.run_count();
-    assert!(before >= 4, "stack too shallow: {before}");
-    // Misses that reach the stack: unfiltered interleaved runs give ~4
-    // probes per lookup, tripping the watermark at a window boundary.
-    for j in 0..600u64 {
-        assert_eq!(engine.get(top + j * 8 + 6), None);
+    // Delete all of run 2's region plus some base keys: a seventh,
+    // tombstone-bearing run the filters must index too.
+    let mut deleted: Vec<u64> = (0..RUN_KEYS).map(|j| top + j * 8 + 2).collect();
+    deleted.extend((0..64u64).map(|i| i * 16)); // even base keys
+    for &k in &deleted {
+        assert_eq!(engine.remove(k), oracle.remove(&k), "remove {k}");
     }
-    assert!(engine.early_compactions() >= 1, "watermark never fired");
-    assert!(engine.run_count() < before, "early compaction did not shrink the stack");
+    engine.force_merge();
+    assert!(engine.run_count() >= 7, "stack too shallow: {}", engine.run_count());
+
+    // Never-inserted keys, both inside the interleaved span (offsets 6
+    // and 7 mod 8) and between base keys.
+    let mut never: Vec<u64> =
+        (0..RUN_KEYS).flat_map(|j| [top + j * 8 + 6, top + j * 8 + 7]).collect();
+    never.extend((0..BASE).step_by(3).map(|i| i * 8 + 5));
+
+    for &k in deleted.iter().chain(&never) {
+        assert_eq!(engine.get(k), oracle.get(&k).copied(), "get {k}");
+        for (run, &(admits, present)) in engine.run_filter_audit(k).iter().enumerate() {
+            assert!(
+                !present || admits,
+                "false negative: run {run} holds {k} but its filter rejects it"
+            );
+        }
+    }
+    // Tombstones are indexed: each deleted run-region key is present
+    // (as a tombstone) in at least one admitting run.
+    for &k in &deleted[..RUN_KEYS as usize] {
+        let audit = engine.run_filter_audit(k);
+        assert!(
+            audit.iter().any(|&(admits, present)| admits && present),
+            "tombstone for {k} invisible to every filter"
+        );
+    }
+    // Live keys still answer exactly — with this many runs a silent
+    // false negative anywhere would show up here.
     for (&k, &v) in &oracle {
-        assert_eq!(engine.get(k), Some(v), "key {k} after early compaction");
+        assert_eq!(engine.get(k), Some(v), "live key {k}");
     }
+    assert!(
+        engine.filter_skips() > 0,
+        "bloom filters never skipped a probe over {} absent-key lookups",
+        deleted.len() + never.len()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -370,88 +257,79 @@ fn probe_fingerprint(
 
 #[test]
 fn spool_reopen_reproduces_answers_and_filter_skips() {
-    for kind in [FilterKind::Bloom, FilterKind::Fence] {
-        let tmp = TempDir::new(if kind == FilterKind::Bloom { "warmcold-b" } else { "warmcold-f" });
-        let keys: Vec<u64> = (0..2_000u64).map(|i| i * 10).collect();
-        let payloads: Vec<u64> = keys.iter().map(|&k| k + 1).collect();
-        let mut oracle: BTreeMap<u64, u64> =
-            keys.iter().zip(&payloads).map(|(&k, &p)| (k, p)).collect();
-        let data = Arc::new(SortedData::with_payloads(keys, payloads).expect("sorted"));
-        let policy = tuned(kind, 2, 2, 60);
-        let engine = WriteBehindEngine::with_spool(
-            Arc::clone(&data),
-            base_factory(),
-            DeltaKind::BTree.factory(),
-            64,
-            MergeMode::Sync,
-            policy,
-            &tmp.0,
-            512,
-        )
-        .expect("spool engine builds");
+    let tmp = TempDir::new("warmcold");
+    let keys: Vec<u64> = (0..2_000u64).map(|i| i * 10).collect();
+    let payloads: Vec<u64> = keys.iter().map(|&k| k + 1).collect();
+    let mut oracle: BTreeMap<u64, u64> =
+        keys.iter().zip(&payloads).map(|(&k, &p)| (k, p)).collect();
+    let data = Arc::new(SortedData::with_payloads(keys, payloads).expect("sorted"));
+    let policy = MergePolicy::leveled(2, 2);
+    let engine = WriteBehindEngine::with_spool(
+        Arc::clone(&data),
+        base_factory(),
+        DeltaKind::BTree.factory(),
+        64,
+        MergeMode::Sync,
+        policy,
+        &tmp.0,
+        512,
+    )
+    .expect("spool engine builds");
 
-        // Inserts, deletes of base keys, and deletes of just-inserted keys:
-        // frozen runs carry live entries and tombstones, and the 60%
-        // watermark gets rewrite opportunities mid-churn.
-        for i in 0..400u64 {
-            let k = 100_000 + i * 3;
-            engine.insert(k, i);
-            oracle.insert(k, i);
-            if i % 3 == 0 {
-                let victim = i * 10; // exists in the base
-                engine.remove(victim);
-                oracle.remove(&victim);
-            }
-            if i % 5 == 0 {
-                engine.remove(k);
-                oracle.remove(&k);
-            }
+    // Inserts, deletes of base keys, and deletes of just-inserted keys:
+    // frozen runs carry live entries and tombstones.
+    for i in 0..400u64 {
+        let k = 100_000 + i * 3;
+        engine.insert(k, i);
+        oracle.insert(k, i);
+        if i % 3 == 0 {
+            let victim = i * 10; // exists in the base
+            engine.remove(victim);
+            oracle.remove(&victim);
         }
-        engine.force_merge(); // durability boundary: all churn is frozen
-
-        // Present keys, deleted keys, and never-inserted keys in and out
-        // of every run's span.
-        let probes: Vec<u64> = (0..400u64)
-            .flat_map(|i| [i * 10, 100_000 + i * 3, 100_001 + i * 3, i * 10 + 5])
-            .collect();
-        let (warm_answers, warm_skips, warm_probes) = probe_fingerprint(&engine, &probes);
-        for (&k, got) in probes.iter().zip(&warm_answers) {
-            assert_eq!(*got, oracle.get(&k).copied(), "warm {k} ({kind:?})");
-        }
-        let warm_range = engine.range(0, u64::MAX);
-        drop(engine);
-
-        let reopened = WriteBehindEngine::open_spool(
-            &tmp.0,
-            base_factory(),
-            DeltaKind::BTree.factory(),
-            64,
-            MergeMode::Sync,
-            policy,
-        )
-        .expect("cold re-open from spool");
-        let (cold_answers, cold_skips, cold_probes) = probe_fingerprint(&reopened, &probes);
-        assert_eq!(cold_answers, warm_answers, "cold answers diverged ({kind:?})");
-        assert_eq!(cold_skips, warm_skips, "reloaded filters skip differently ({kind:?})");
-        assert_eq!(cold_probes, warm_probes, "reloaded stack probes differently ({kind:?})");
-        assert_eq!(reopened.range(0, u64::MAX), warm_range, "cold range diverged ({kind:?})");
-        if kind == FilterKind::Bloom {
-            assert!(warm_skips > 0, "probe sequence never exercised the filters");
+        if i % 5 == 0 {
+            engine.remove(k);
+            oracle.remove(&k);
         }
     }
+    engine.force_merge(); // durability boundary: all churn is frozen
+
+    // Present keys, deleted keys, and never-inserted keys in and out
+    // of every run's span.
+    let probes: Vec<u64> =
+        (0..400u64).flat_map(|i| [i * 10, 100_000 + i * 3, 100_001 + i * 3, i * 10 + 5]).collect();
+    let (warm_answers, warm_skips, warm_probes) = probe_fingerprint(&engine, &probes);
+    for (&k, got) in probes.iter().zip(&warm_answers) {
+        assert_eq!(*got, oracle.get(&k).copied(), "warm {k}");
+    }
+    let warm_range = engine.range(0, u64::MAX);
+    drop(engine);
+
+    let reopened = WriteBehindEngine::open_spool(
+        &tmp.0,
+        base_factory(),
+        DeltaKind::BTree.factory(),
+        64,
+        MergeMode::Sync,
+        policy,
+    )
+    .expect("cold re-open from spool");
+    let (cold_answers, cold_skips, cold_probes) = probe_fingerprint(&reopened, &probes);
+    assert_eq!(cold_answers, warm_answers, "cold answers diverged");
+    assert_eq!(cold_skips, warm_skips, "reloaded filters skip differently");
+    assert_eq!(cold_probes, warm_probes, "reloaded stack probes differently");
+    assert_eq!(reopened.range(0, u64::MAX), warm_range, "cold range diverged");
+    assert!(warm_skips > 0, "probe sequence never exercised the filters");
 }
 
-/// A bit flip inside a spooled run's filter section must fail the cold
-/// re-open with a corruption error — never load a subtly wrong filter
-/// (which could silently reject present keys).
-#[test]
-fn corrupted_filter_section_fails_spool_reopen() {
-    let tmp = TempDir::new("corrupt");
+/// Spool a stack whose frozen runs stay on storage (wide fanout, so none
+/// folds into the base first), let `damage` edit the bytes of every run
+/// snapshot, and return the cold re-open's error message.
+fn reopen_error_after(tag: &str, damage: impl Fn(&mut Vec<u8>)) -> String {
+    let tmp = TempDir::new(tag);
     let keys: Vec<u64> = (0..1_000u64).map(|i| i * 10).collect();
     let data = Arc::new(SortedData::new(keys).expect("sorted"));
-    // Wide fanout so frozen runs stay in the spool instead of folding into
-    // the base before the test can corrupt one.
-    let policy = tuned(FilterKind::Bloom, 8, 3, 0);
+    let policy = MergePolicy::leveled(8, 3);
     let engine = WriteBehindEngine::with_spool(
         Arc::clone(&data),
         base_factory(),
@@ -472,10 +350,7 @@ fn corrupted_filter_section_fails_spool_reopen() {
     engine.force_merge();
     drop(engine);
 
-    // The filter section is the last thing in a run snapshot (after keys,
-    // payloads, and the dead-key section), so flip a byte near the end of
-    // every spooled run file.
-    let mut flipped = 0usize;
+    let mut damaged = 0usize;
     for entry in std::fs::read_dir(&tmp.0).expect("read spool dir") {
         let path = entry.expect("dir entry").path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
@@ -483,14 +358,13 @@ fn corrupted_filter_section_fails_spool_reopen() {
             continue;
         }
         let mut bytes = std::fs::read(&path).expect("read run snapshot");
-        let idx = bytes.len() - 3;
-        bytes[idx] ^= 0x01;
+        damage(&mut bytes);
         std::fs::write(&path, &bytes).expect("rewrite run snapshot");
-        flipped += 1;
+        damaged += 1;
     }
-    assert!(flipped > 0, "no run snapshots in the spool; harness broken");
+    assert!(damaged > 0, "no run snapshots in the spool; harness broken");
 
-    let err = match WriteBehindEngine::open_spool(
+    match WriteBehindEngine::open_spool(
         &tmp.0,
         base_factory(),
         DeltaKind::BTree.factory(),
@@ -498,9 +372,40 @@ fn corrupted_filter_section_fails_spool_reopen() {
         MergeMode::Sync,
         policy,
     ) {
-        Ok(_) => panic!("corrupted filter section loaded cleanly"),
-        Err(e) => e,
-    };
-    let msg = err.to_string();
+        Ok(_) => panic!("damaged filter section loaded cleanly"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// A bit flip inside a spooled run's filter section must fail the cold
+/// re-open with a corruption error — never load a subtly wrong filter
+/// (which could silently reject present keys).
+#[test]
+fn corrupted_filter_section_fails_spool_reopen() {
+    // The filter section is the last thing in a run snapshot (after keys,
+    // payloads, and the dead-key section), so flip a byte near the end.
+    let msg = reopen_error_after("corrupt", |bytes| {
+        let idx = bytes.len() - 3;
+        bytes[idx] ^= 0x01;
+    });
     assert!(msg.contains("corrupt"), "expected a corruption error, got: {msg}");
+}
+
+/// A run snapshot whose header declares the retired fence filter (kind 2,
+/// docs/FORMATS.md) in an otherwise valid, correctly checksummed file must
+/// fail the cold re-open by name: its section is not Bloom blocks, and
+/// quietly rebuilding a Bloom filter would hide that the spool was written
+/// under a configuration this build no longer has.
+#[test]
+fn retired_filter_kind_fails_spool_reopen_by_name() {
+    const PAGE: usize = 512;
+    const USABLE: usize = PAGE - 8; // the page trailer holds the checksum
+    const FILTER_KIND: usize = 80; // header field offset
+    let msg = reopen_error_after("retired", |bytes| {
+        assert_eq!(bytes[FILTER_KIND..FILTER_KIND + 4], 1u32.to_le_bytes(), "writers store 1");
+        bytes[FILTER_KIND..FILTER_KIND + 4].copy_from_slice(&2u32.to_le_bytes());
+        let sum = page_checksum(&bytes[..USABLE], 0);
+        bytes[USABLE..PAGE].copy_from_slice(&sum.to_le_bytes());
+    });
+    assert!(msg.contains("kind 2 (fence)"), "expected the retired kind by name, got: {msg}");
 }

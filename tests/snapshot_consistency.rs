@@ -1,6 +1,6 @@
 //! Pinned-snapshot integration suite: a proptest oracle proving reads
 //! through a `PinnedView` keep answering from the pin-time mapping while
-//! the engine churns through merges, compactions, and density rewrites; a
+//! the engine churns through merges and compactions; a
 //! reclamation check that dropped pins release their generation; loud
 //! failure on tampered spools (flipped bits, edited manifests, substituted
 //! files); and root-fingerprint equality across physically different
@@ -118,24 +118,16 @@ proptest! {
 
     /// The tentpole oracle: pin a view mid-churn, mirror the mapping into
     /// a `BTreeMap` at the same instant, keep hammering the engine through
-    /// at least three more merge cycles and one compaction (plus a density
-    /// rewrite trigger), and require every pinned read path to keep
-    /// answering from the mirror while the *live* engine visibly moves on.
+    /// at least three more merge cycles and one compaction, and require
+    /// every pinned read path to keep answering from the mirror while the
+    /// *live* engine visibly moves on.
     #[test]
     fn pinned_reads_survive_churn(
         keys in base_keys(),
         warmup in churn_ops(),
         churn in churn_ops(),
     ) {
-        let policy = MergePolicy::Leveled {
-            fanout: 2,
-            max_levels: 2,
-            tuning: sosd::core::LeveledTuning {
-                filter: sosd::core::FilterKind::Bloom,
-                rewrite_live_pct: 40,
-                read_amp_watermark: 0,
-            },
-        };
+        let policy = MergePolicy::leveled(2, 2);
         let (engine, mut mirror) = build(&keys, 16, MergeMode::Sync, policy);
         for &op in &warmup {
             apply(&engine, &mut mirror, op);

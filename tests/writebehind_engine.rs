@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
 use sosd::core::{
-    FilterKind, LeveledTuning, MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData,
-    WriteBehindEngine,
+    MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData, WriteBehindEngine,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -364,12 +363,13 @@ fn batched_reads_see_no_torn_state_across_merge_swaps() {
 /// The filter-path variant of the torn-read regression: readers stream
 /// batched hot-key lookups AND absent-key point probes (the path where
 /// per-run filters skip probes) while the writer churns a side region
-/// through insert → tombstone → re-insert cycles that trigger background
-/// tombstone-density rewrites. A rewrite swaps generations just like a
-/// merge; a torn swap would show a hot key vanishing, a version going
-/// backwards, or a deleted side key resurrecting mid-batch.
+/// through insert → tombstone → re-insert cycles whose freezes overflow
+/// a narrow level every third merge, so level folds and base folds swap
+/// generations on the background thread under the reader's feet. A torn
+/// swap would show a hot key vanishing, a version going backwards, or a
+/// deleted side key resurrecting mid-batch.
 #[test]
-fn filtered_reads_survive_background_density_rewrites() {
+fn filtered_reads_survive_background_compactions() {
     const HOT: u64 = 256;
     let keys: Vec<u64> = (0..20_000u64).collect();
     let payloads = vec![0u64; keys.len()]; // version 0 everywhere
@@ -379,15 +379,7 @@ fn filtered_reads_survive_background_density_rewrites() {
         inner: Family::BTree.default_spec::<u64>(),
         delta: DeltaKind::BTree,
         merge_threshold: 200,
-        policy: MergePolicy::Leveled {
-            fanout: 6,
-            max_levels: 2,
-            tuning: LeveledTuning {
-                filter: FilterKind::Bloom,
-                rewrite_live_pct: 60,
-                read_amp_watermark: 0,
-            },
-        },
+        policy: MergePolicy::leveled(3, 2),
     };
     let engine = Arc::new(
         spec.writebehind_engine(&data, SearchStrategy::Binary, MergeMode::Background)
@@ -413,7 +405,7 @@ fn filtered_reads_survive_background_density_rewrites() {
                     let upper = current_round.load(Ordering::Acquire);
                     for (i, r) in results.iter().enumerate() {
                         let v = r.unwrap_or_else(|| {
-                            panic!("key {} vanished mid-rewrite (torn read)", hot[i])
+                            panic!("key {} vanished mid-compaction (torn read)", hot[i])
                         });
                         assert!(
                             v >= last_seen[i],
@@ -437,9 +429,10 @@ fn filtered_reads_survive_background_density_rewrites() {
         };
 
         // Writer: hot-set version bumps interleaved with side-region
-        // insert → tombstone → re-insert cycles. Each cycle strands an
-        // all-tombstone run behind a newer shadowing run, so the 60%
-        // density watermark rewrites it away under the reader's feet.
+        // insert → tombstone → re-insert cycles: three freezes each, so
+        // every cycle fills level 0 and folds it (tombstones and the
+        // values they shadow included), and every third folds the bottom
+        // level into the base.
         let cycle = |round: u64| {
             for &k in &side {
                 engine.insert(k, round);
@@ -464,20 +457,12 @@ fn filtered_reads_survive_background_density_rewrites() {
             }
             cycle(round);
         }
-        // Compaction folds can absorb a cycle's tombstone run before its
-        // shadowing run lands; drive more cycles until a rewrite fired.
-        let mut spins = 0;
-        while engine.density_rewrites() == 0 {
-            spins += 1;
-            assert!(spins <= 20, "density rewrite never fired in the background");
-            cycle(6);
-        }
         done.store(true, Ordering::Release);
         reader.join().expect("reader thread");
     });
 
     assert!(batches_seen.load(Ordering::Relaxed) > 0, "reader never completed a batch");
-    assert!(engine.density_rewrites() >= 1);
+    assert!(engine.compactions() >= 6, "got {} compactions", engine.compactions());
     for &k in &hot {
         assert_eq!(engine.get(k), Some(6), "hot key {k}");
     }
