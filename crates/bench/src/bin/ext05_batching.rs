@@ -19,7 +19,7 @@ use sosd_bench::registry::Family;
 use sosd_bench::report::{write_json, Report};
 use sosd_bench::timing::time_lookups_batched;
 use sosd_bench::Args;
-use sosd_core::SearchStrategy;
+use sosd_core::{QueryEngine, SearchStrategy};
 use sosd_datasets::make_workload;
 use std::sync::Arc;
 
@@ -50,7 +50,13 @@ fn main() {
             };
             let mut baseline_ns = None;
             for batch in BATCH_SIZES {
-                let t = time_lookups_batched(engine.as_ref(), &lookups, batch, repeats);
+                let t = time_lookups_batched(
+                    engine.as_ref(),
+                    QueryEngine::get_batch,
+                    &lookups,
+                    batch,
+                    repeats,
+                );
                 assert_eq!(
                     t.checksum,
                     expected_checksum,

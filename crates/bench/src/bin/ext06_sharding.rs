@@ -11,9 +11,10 @@
 //! * `point@T` — T worker threads issuing point lookups against the shared
 //!   engine (the Figure-16 loop, now engine-generic);
 //! * `batch` — one thread driving the serial shard-grouped batch path;
-//! * `par_batch` — one thread driving `ShardedEngine::par_get_batch`,
-//!   fanning key-balanced spans of the grouped batch across scoped threads
-//!   capped at host parallelism. The stream is tiled up to
+//! * `par_batch` — one thread driving `QueryEngine::par_get_batch`, which
+//!   a `ShardedEngine` answers by fanning key-balanced spans of the grouped
+//!   batch across scoped threads capped at host parallelism (an unsharded
+//!   engine runs its serial batch). The stream is tiled up to
 //!   [`PAR_STREAM_LEN`] keys per call so the spawn-amortization floor
 //!   (`PAR_MIN_KEYS_PER_WORKER`) is cleared even in `--quick` mode —
 //!   throughput measurement repeats the stream either way, so tiling only
@@ -52,7 +53,7 @@ const BATCH: usize = 1024;
 const PAR_STREAM_LEN: usize = PAR_MIN_KEYS_PER_WORKER * 16;
 
 /// One built engine: the shared-everything baseline or the concrete
-/// sharded construction (which exposes the parallel batch path).
+/// sharded construction (which reports its effective shard count).
 type BuiltEngine = (Option<Box<dyn QueryEngine<u64>>>, Option<ShardedEngine<u64>>);
 
 fn main() {
@@ -107,24 +108,20 @@ fn main() {
                     }
                 }
             };
-            let par_view = sharded.as_ref().map(ShardedEngine::parallel);
             let engine: &dyn QueryEngine<u64> = match &sharded {
                 Some(s) => s,
                 None => single.as_deref().expect("one of the engines is built"),
-            };
-            let par_engine: &dyn QueryEngine<u64> = match &par_view {
-                Some(v) => v,
-                None => engine,
             };
             let num_shards = sharded.as_ref().map_or(1, ShardedEngine::num_shards);
 
             // Correctness gate: both batch paths must reproduce the
             // workload's payload checksum before any throughput is
             // reported.
-            for (path, results) in [
-                ("get_batch", engine.lookup_batch(&lookups)),
-                ("par_get_batch", par_engine.lookup_batch(&lookups)),
-            ] {
+            let mut fanned = Vec::new();
+            engine.par_get_batch(&lookups, &mut fanned);
+            for (path, results) in
+                [("get_batch", engine.lookup_batch(&lookups)), ("par_get_batch", fanned)]
+            {
                 let sum = results.into_iter().fold(0u64, |a, r| a.wrapping_add(r.unwrap_or(0)));
                 assert_eq!(
                     sum,
@@ -139,9 +136,16 @@ fn main() {
                 let r = measure_engine_throughput(engine, &lookups, t, false, budget);
                 measurements.push((format!("point@{t}"), r.lookups_per_sec));
             }
-            let serial = measure_batched_throughput(engine, &lookups, BATCH, budget);
+            let serial =
+                measure_batched_throughput(engine, QueryEngine::get_batch, &lookups, BATCH, budget);
             measurements.push(("batch".into(), serial.lookups_per_sec));
-            let par = measure_batched_throughput(par_engine, &par_stream, par_stream.len(), budget);
+            let par = measure_batched_throughput(
+                engine,
+                QueryEngine::par_get_batch,
+                &par_stream,
+                par_stream.len(),
+                budget,
+            );
             measurements.push(("par_batch".into(), par.lookups_per_sec));
 
             for (mode, rate) in measurements {

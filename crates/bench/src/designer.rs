@@ -220,7 +220,8 @@ mod tests {
     use super::*;
     use crate::timing::time_lookups_batched;
     use sosd_core::{
-        write_snapshot, BlockStore, MemStore, PagedData, PagedEngine, ProfiledStore, SearchStrategy,
+        write_snapshot, BlockStore, MemStore, PagedData, PagedEngine, ProfiledStore, QueryEngine,
+        SearchStrategy,
     };
     use std::sync::Arc;
 
@@ -320,7 +321,7 @@ mod tests {
         let index = candidate.spec.builder::<u64>().build_boxed(&data).unwrap();
         let engine = PagedEngine::with_strategy(index, paged, SearchStrategy::Binary);
         let lookups = probe_keys(&data, 400);
-        let timing = time_lookups_batched(&engine, &lookups, 1, 1);
+        let timing = time_lookups_batched(&engine, QueryEngine::get_batch, &lookups, 1, 1);
         let ratio = timing.ns_per_lookup / candidate.predicted_ns;
         // The injected latency dominates both sides; allow generous slack
         // for spin-wait overshoot on loaded machines.

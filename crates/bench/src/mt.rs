@@ -27,8 +27,9 @@
 //! all threads) and the sharded one (a `ShardedEngine` is just another
 //! [`QueryEngine`]) — routing overhead and partition locality show up in
 //! the numbers, not in harness differences. [`measure_batched_throughput`]
-//! drives batch entry points (e.g. `ShardedEngine::par_get_batch` through
-//! its `parallel()` view) under the same honest clock.
+//! drives a batch entry point — [`QueryEngine::get_batch`] or the
+//! shard-parallel [`QueryEngine::par_get_batch`] — under the same honest
+//! clock.
 
 use sosd_core::search::SearchStrategy;
 use sosd_core::{Index, Key, QueryEngine, SortedData};
@@ -115,15 +116,16 @@ pub fn measure_engine_throughput<K: Key, E: QueryEngine<K> + ?Sized>(
 }
 
 /// Measure throughput of a batch entry point: one driver thread cuts the
-/// lookup stream into `batch`-sized groups and calls
-/// [`QueryEngine::get_batch`] until `budget` expires (actual elapsed time
-/// is billed, as in [`measure_engine_throughput`]).
+/// lookup stream into `batch`-sized groups and calls `batch_fn` on each
+/// until `budget` expires (actual elapsed time is billed, as in
+/// [`measure_engine_throughput`]).
 ///
-/// Pass a `ShardedEngine`'s `parallel()` view to measure its
-/// shard-parallel `par_get_batch` with the same code that measures the
-/// serial batch path.
+/// Pass [`QueryEngine::par_get_batch`] to measure a `ShardedEngine`'s
+/// shard-parallel path with the same code that measures the serial
+/// [`QueryEngine::get_batch`].
 pub fn measure_batched_throughput<K: Key, E: QueryEngine<K> + ?Sized>(
     engine: &E,
+    batch_fn: impl Fn(&E, &[K], &mut Vec<Option<u64>>),
     lookups: &[K],
     batch: usize,
     budget: Duration,
@@ -141,7 +143,7 @@ pub fn measure_batched_throughput<K: Key, E: QueryEngine<K> + ?Sized>(
     'outer: loop {
         for group in lookups.chunks(batch) {
             results.clear();
-            engine.get_batch(black_box(group), &mut results);
+            batch_fn(engine, black_box(group), &mut results);
             for r in &results {
                 checksum = checksum.wrapping_add(r.unwrap_or(0));
             }
@@ -301,7 +303,8 @@ mod tests {
         let r = measure_engine_throughput(&engine, &lookups, 2, false, Duration::from_millis(50));
         assert!(r.lookups_per_sec > 0.0);
         let b = measure_batched_throughput(
-            &engine.parallel(),
+            &engine,
+            QueryEngine::par_get_batch,
             &lookups,
             512,
             Duration::from_millis(50),

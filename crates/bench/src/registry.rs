@@ -943,12 +943,9 @@ mod tests {
             // The concrete construction exposes shard structure.
             let sharded = spec.sharded_engine(&data, SearchStrategy::Binary).unwrap();
             assert_eq!(sharded.num_shards(), 4, "{}", family.name());
-            assert_eq!(
-                sharded.par_lookup_batch(&[key, key + 1]),
-                vec![Some(data.payload(17_777)), None],
-                "{}",
-                family.name()
-            );
+            let mut fanned = Vec::new();
+            sharded.par_get_batch(&[key, key + 1], &mut fanned);
+            assert_eq!(fanned, vec![Some(data.payload(17_777)), None], "{}", family.name());
         }
         // A single spec builds as one shard.
         let single = EngineSpec::Single(Family::Bs.default_spec::<u64>());

@@ -5,7 +5,10 @@
 //! validates correctness and keeps the optimizer honest. Optional memory
 //! fences between lookups reproduce Figure 15 (no overlap between adjacent
 //! lookups); an optional eviction pass between lookups reproduces the
-//! hardware side of Figure 14's cold-cache mode.
+//! hardware side of Figure 14's cold-cache mode. [`time_lookups_batched`]
+//! times a [`QueryEngine`] batch entry point the caller names —
+//! [`QueryEngine::get_batch`] or the shard-parallel
+//! [`QueryEngine::par_get_batch`] — with the same checksum contract.
 
 use sosd_core::search::SearchStrategy;
 use sosd_core::{Index, Key, QueryEngine, SortedData};
@@ -118,18 +121,21 @@ pub fn time_lookups<K: Key, I: Index<K> + ?Sized>(
 /// Time lookups through a [`QueryEngine`]'s batched entry point.
 ///
 /// The lookup stream is cut into groups of `batch_size` and each group is
-/// executed with [`QueryEngine::get_batch`] — `batch_size == 1` measures the
-/// facade's one-at-a-time path, larger sizes measure how much an adapter's
-/// interleaved/prefetching override amortizes per-lookup stalls. Present
-/// keys contribute their payload sum to the checksum (identical to
-/// [`time_lookups`]'s contract), so a run over present-key workloads must
-/// reproduce the workload's expected checksum.
+/// executed with `batch_fn` — [`QueryEngine::get_batch`] or
+/// [`QueryEngine::par_get_batch`]. With `get_batch`, `batch_size == 1`
+/// measures the facade's one-at-a-time path and larger sizes measure how
+/// much an adapter's interleaved/prefetching override amortizes per-lookup
+/// stalls. Present keys contribute their payload sum to the checksum
+/// (identical to [`time_lookups`]'s contract), so a run over present-key
+/// workloads must reproduce the workload's expected checksum.
 ///
-/// Works unchanged over composite engines — a `ShardedEngine` (or its
-/// `parallel()` view) regroups each timed batch per shard internally, so
-/// sharded and unsharded configurations are timed by identical code.
+/// Works unchanged over composite engines — a `ShardedEngine` regroups
+/// each timed batch per shard internally (and fans it out under
+/// `par_get_batch`), so sharded and unsharded configurations are timed by
+/// identical code.
 pub fn time_lookups_batched<K: Key, E: QueryEngine<K> + ?Sized>(
     engine: &E,
+    batch_fn: impl Fn(&E, &[K], &mut Vec<Option<u64>>),
     lookups: &[K],
     batch_size: usize,
     repeats: usize,
@@ -145,7 +151,7 @@ pub fn time_lookups_batched<K: Key, E: QueryEngine<K> + ?Sized>(
         let start = Instant::now();
         for batch in lookups.chunks(batch_size) {
             results.clear();
-            engine.get_batch(black_box(batch), &mut results);
+            batch_fn(engine, black_box(batch), &mut results);
             for r in &results {
                 checksum = checksum.wrapping_add(r.unwrap_or(0));
             }
@@ -218,7 +224,8 @@ mod tests {
         let idx = <BsBuilder as IndexBuilder<u64>>::build(&BsBuilder, &data).unwrap();
         let engine = StaticEngine::new(idx, data);
         for batch_size in [1usize, 2, 7, 8, 64, 10_000] {
-            let t = time_lookups_batched(&engine, &w.lookups, batch_size, 1);
+            let t =
+                time_lookups_batched(&engine, QueryEngine::get_batch, &w.lookups, batch_size, 1);
             assert_eq!(t.checksum, w.expected_checksum, "batch_size={batch_size}");
             assert!(t.ns_per_lookup > 0.0);
         }
@@ -238,7 +245,7 @@ mod tests {
             TimingOptions { repeats: 1, ..Default::default() },
         );
         let engine = StaticEngine::new(idx, data);
-        let batched = time_lookups_batched(&engine, &w.lookups, 16, 1);
+        let batched = time_lookups_batched(&engine, QueryEngine::get_batch, &w.lookups, 16, 1);
         assert_eq!(batched.checksum, scalar.checksum);
     }
 
@@ -251,9 +258,16 @@ mod tests {
         let spec = EngineSpec::Sharded { shards: 4, inner: Family::Bs.default_spec::<u64>() };
         let engine = spec.sharded_engine(&data, SearchStrategy::Binary).expect("builds");
         for batch_size in [1usize, 13, 64] {
-            let t = time_lookups_batched(&engine, &w.lookups, batch_size, 1);
+            let t =
+                time_lookups_batched(&engine, QueryEngine::get_batch, &w.lookups, batch_size, 1);
             assert_eq!(t.checksum, w.expected_checksum, "batch_size={batch_size}");
-            let tp = time_lookups_batched(&engine.parallel(), &w.lookups, batch_size, 1);
+            let tp = time_lookups_batched(
+                &engine,
+                QueryEngine::par_get_batch,
+                &w.lookups,
+                batch_size,
+                1,
+            );
             assert_eq!(tp.checksum, w.expected_checksum, "parallel batch_size={batch_size}");
         }
     }

@@ -26,10 +26,10 @@
 //!   populates the cache. [`CachedEngine::get_batch`] partitions hits from
 //!   misses and hands the *whole miss set* to the inner engine's own
 //!   `get_batch`, so a `StaticEngine` base still runs its
-//!   interleaved-prefetch path over the keys that actually need it. Over a
-//!   sharded inner, [`CachedEngine::par_get_batch`] does the same
-//!   partitioning before the parallel shard fan-out, so cached keys never
-//!   reach the shard threads.
+//!   interleaved-prefetch path over the keys that actually need it.
+//!   `par_get_batch` does the same partitioning and hands the miss set to
+//!   the inner engine's `par_get_batch`, so over a sharded inner cached
+//!   keys never reach the shard threads.
 //! * **Negative caching is opt-in.** By default absent keys are never
 //!   cached (absence is cheap to re-verify, and nonexistent probes would
 //!   evict hot results); [`CachedEngine::with_negative`] flips a miss on
@@ -78,7 +78,6 @@
 use crate::engine::QueryEngine;
 use crate::error::BuildError;
 use crate::key::Key;
-use crate::shard::ShardedEngine;
 use crate::util::splitmix64;
 use crate::writebehind::WriteBehindEngine;
 use std::collections::HashMap;
@@ -461,7 +460,7 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
     }
 
     /// The hit/miss-partitioned batch shared by [`QueryEngine::get_batch`]
-    /// and the cache-aware parallel path: hits (including negative
+    /// and [`QueryEngine::par_get_batch`]: hits (including negative
     /// entries) answer from the stripes, and the whole miss set goes to
     /// the inner engine through `exec` in one call.
     fn get_batch_via(
@@ -595,26 +594,12 @@ impl<K: Key, E: QueryEngine<K>> QueryEngine<K> for CachedEngine<K, E> {
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
         self.get_batch_via(keys, out, |inner, miss, res| inner.get_batch(miss, res));
     }
-}
 
-impl<K: Key> CachedEngine<K, ShardedEngine<K>> {
-    /// Cache-aware parallel batch over a sharded inner engine: hits
-    /// (including negative entries) are partitioned out under the stripe
-    /// locks first, and only the **miss set** is fanned out across the
-    /// shards via [`ShardedEngine::par_get_batch`] — under a skewed
-    /// workload most keys never reach the shard threads at all, and the
-    /// smaller miss set also keeps the sharded path's per-worker
-    /// spawn-amortization floor honest. Observably identical to
-    /// [`QueryEngine::get_batch`].
-    pub fn par_get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
+    /// The same partition, with the miss set handed to the inner engine's
+    /// own `par_get_batch` — a sharded inner fans it out across cores, and
+    /// under skewed traffic most keys never reach its worker threads.
+    fn par_get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
         self.get_batch_via(keys, out, |inner, miss, res| inner.par_get_batch(miss, res));
-    }
-
-    /// [`CachedEngine::par_get_batch`] into a fresh vector.
-    pub fn par_lookup_batch(&self, keys: &[K]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.par_get_batch(keys, &mut out);
-        out
     }
 }
 
@@ -623,6 +608,7 @@ mod tests {
     use super::*;
     use crate::data::SortedData;
     use crate::engine::StaticEngine;
+    use crate::shard::ShardedEngine;
     use crate::testutil::MirrorIndex;
     use std::sync::Arc;
 
@@ -833,6 +819,13 @@ mod tests {
         assert_eq!(e.hits() + e.misses(), 0, "ordered queries never touch the stripes");
     }
 
+    /// `par_get_batch` into a fresh vector.
+    fn par<E: QueryEngine<u64> + ?Sized>(e: &E, keys: &[u64]) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        e.par_get_batch(keys, &mut out);
+        out
+    }
+
     #[test]
     fn par_get_batch_partitions_hits_before_the_shard_fanout() {
         let data = SortedData::new((0..4_000u64).map(|i| i * 2).collect()).unwrap();
@@ -849,14 +842,64 @@ mod tests {
             e.get(k);
         }
         let probes: Vec<u64> = (0..400).rev().collect();
-        let par = e.par_lookup_batch(&probes);
         let serial = e.inner().lookup_batch(&probes);
-        assert_eq!(par, serial, "cache-aware parallel batch matches the inner engine");
+        assert_eq!(par(&e, &probes), serial, "cache-aware parallel batch matches the inner engine");
         // Everything is cached now: the next parallel batch must not fall
         // through at all.
         let m0 = e.misses();
-        assert_eq!(e.par_lookup_batch(&probes), serial);
+        assert_eq!(par(&e, &probes), serial);
         assert_eq!(e.misses(), m0, "fully-warm parallel batch sends no key to the shards");
+    }
+
+    /// Forwards to a static engine and records every `par_get_batch` call's
+    /// keys, so a test can see what reaches the inner parallel path.
+    struct ParSpy {
+        inner: StaticEngine<u64, MirrorIndex>,
+        par_calls: Arc<Mutex<Vec<Vec<u64>>>>,
+    }
+
+    impl QueryEngine<u64> for ParSpy {
+        fn name(&self) -> String {
+            "spy".into()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn size_bytes(&self) -> usize {
+            self.inner.size_bytes()
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            self.inner.get(key)
+        }
+        fn lower_bound(&self, key: u64) -> Option<(u64, u64)> {
+            self.inner.lower_bound(key)
+        }
+        fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+            self.inner.range(lo, hi)
+        }
+        fn par_get_batch(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+            self.par_calls.lock().unwrap().push(keys.to_vec());
+            self.inner.get_batch(keys, out)
+        }
+    }
+
+    #[test]
+    fn boxed_inner_par_get_batch_sends_only_misses_to_the_inner_parallel_path() {
+        let data = Arc::new(SortedData::new((0..1_000u64).map(|i| i * 2).collect()).unwrap());
+        let par_calls = Arc::new(Mutex::new(Vec::new()));
+        let spy = ParSpy {
+            inner: StaticEngine::new(MirrorIndex::over(&data), Arc::clone(&data)),
+            par_calls: Arc::clone(&par_calls),
+        };
+        let e: CachedEngine<u64> = CachedEngine::new(Box::new(spy) as _, 256, 4).unwrap();
+        for k in (0..40u64).step_by(4) {
+            e.get(k); // warm every other even key
+        }
+        let probes: Vec<u64> = (0..40).collect();
+        let erased: &dyn QueryEngine<u64> = &e;
+        assert_eq!(par(erased, &probes), e.inner().lookup_batch(&probes));
+        let misses: Vec<u64> = probes.iter().copied().filter(|k| k % 4 != 0).collect();
+        assert_eq!(*par_calls.lock().unwrap(), vec![misses], "one inner call, misses only");
     }
 
     #[test]

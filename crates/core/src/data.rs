@@ -2,9 +2,7 @@
 
 use crate::error::DataError;
 use crate::key::Key;
-use crate::store::{PagedData, StoreError};
 use crate::util::splitmix64;
-use std::sync::Arc;
 
 /// A sorted (non-decreasing) array of keys with one 8-byte payload per key.
 ///
@@ -142,85 +140,6 @@ impl<K: Key> SortedData<K> {
     }
 }
 
-/// Where a sorted dataset physically lives: fully resident in RAM, or
-/// behind a checksummed page snapshot on a [`crate::store::BlockStore`].
-///
-/// The enum is the seam between the in-memory tiers (everything built
-/// before the storage layer) and the paged world: code that only needs
-/// metadata or occasional windowed reads can work against either backing,
-/// while the hot paged read path lives in `engine::PagedEngine`.
-#[derive(Clone)]
-pub enum DataBacking<K: Key> {
-    /// Fully materialized in memory.
-    Ram(Arc<SortedData<K>>),
-    /// Page-resident behind a block store; reads are windowed and
-    /// checksum-validated.
-    Paged(Arc<PagedData<K>>),
-}
-
-impl<K: Key> DataBacking<K> {
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        match self {
-            DataBacking::Ram(d) => d.len(),
-            DataBacking::Paged(p) => p.len(),
-        }
-    }
-
-    /// Always false: both backings reject empty datasets at construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Smallest stored key.
-    pub fn min_key(&self) -> K {
-        match self {
-            DataBacking::Ram(d) => d.min_key(),
-            DataBacking::Paged(p) => p.min_key(),
-        }
-    }
-
-    /// Largest stored key.
-    pub fn max_key(&self) -> K {
-        match self {
-            DataBacking::Ram(d) => d.max_key(),
-            DataBacking::Paged(p) => p.max_key(),
-        }
-    }
-
-    /// Keys at positions `lo..hi` (clamped to `len`). RAM is a copy; paged
-    /// is one batched, validated page fetch.
-    pub fn read_keys(&self, lo: usize, hi: usize) -> Result<Vec<K>, StoreError> {
-        match self {
-            DataBacking::Ram(d) => {
-                let hi = hi.min(d.len());
-                Ok(d.keys()[lo.min(hi)..hi].to_vec())
-            }
-            DataBacking::Paged(p) => p.read_keys(lo, hi),
-        }
-    }
-
-    /// Payloads at positions `lo..hi` (clamped to `len`).
-    pub fn read_payloads(&self, lo: usize, hi: usize) -> Result<Vec<u64>, StoreError> {
-        match self {
-            DataBacking::Ram(d) => {
-                let hi = hi.min(d.len());
-                Ok(d.payloads()[lo.min(hi)..hi].to_vec())
-            }
-            DataBacking::Paged(p) => p.read_payloads(lo, hi),
-        }
-    }
-
-    /// Materialize as an in-RAM [`SortedData`] (identity for RAM; a full
-    /// validated load for paged).
-    pub fn materialize(&self) -> Result<Arc<SortedData<K>>, StoreError> {
-        match self {
-            DataBacking::Ram(d) => Ok(Arc::clone(d)),
-            DataBacking::Paged(p) => Ok(Arc::new(p.load()?.0)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,24 +213,6 @@ mod tests {
         assert_eq!(s[0], (1, 0.0));
         assert_eq!(s[4].1, 1.0);
         assert!(s.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn backing_agrees_across_ram_and_paged() {
-        use crate::store::{write_snapshot, MemStore, PagedData};
-
-        let d = Arc::new(data());
-        let mut store = MemStore::new(128).unwrap();
-        write_snapshot(&mut store, &d, &[]).unwrap();
-        let paged = Arc::new(PagedData::<u64>::open(Arc::new(store)).unwrap());
-        let ram = DataBacking::Ram(Arc::clone(&d));
-        let cold = DataBacking::Paged(paged);
-        assert_eq!(ram.len(), cold.len());
-        assert_eq!(ram.min_key(), cold.min_key());
-        assert_eq!(ram.max_key(), cold.max_key());
-        assert_eq!(ram.read_keys(2, 7).unwrap(), cold.read_keys(2, 7).unwrap());
-        assert_eq!(ram.read_payloads(0, 99).unwrap(), cold.read_payloads(0, 99).unwrap());
-        assert_eq!(cold.materialize().unwrap().keys(), d.keys());
     }
 
     #[test]

@@ -94,16 +94,16 @@ pub use advisor::{AccessMix, AccessSnapshot, AdvisedPlan, Advisor, Observability
 pub use bound::SearchBound;
 pub use builder::IndexBuilder;
 pub use cache::CachedEngine;
-pub use data::{DataBacking, SortedData};
+pub use data::SortedData;
 pub use dynamic::{BulkLoad, DynamicOrderedIndex, Op};
 pub use engine::{DynamicEngine, PagedEngine, QueryEngine, StaticEngine};
 pub use error::{BuildError, DataError};
 pub use hist::LatencyHistogram;
 pub use index::{Capabilities, Index, IndexKind};
 pub use key::Key;
-pub use search::{LastMileSearch, SearchStrategy};
+pub use search::SearchStrategy;
 pub use serve::{RequestScheduler, RequestShed, Response, SchedulerConfig, SchedulerStats};
-pub use shard::{partition_points, ParallelBatchView, ShardedEngine, PAR_MIN_KEYS_PER_WORKER};
+pub use shard::{partition_points, ShardedEngine, PAR_MIN_KEYS_PER_WORKER};
 pub use store::{
     content_hash_fold, content_hash_stream, snapshot_content_hash, write_snapshot,
     write_snapshot_with_filter, BlockStore, FileStore, MemStore, PagedData, ProfiledStore,

@@ -72,9 +72,6 @@ impl SearchStrategy {
     }
 }
 
-/// Backwards-compatible alias used in harness code.
-pub type LastMileSearch = SearchStrategy;
-
 #[inline]
 fn clamp_window(keys_len: usize, bound: SearchBound) -> (usize, usize) {
     let hi = bound.hi.min(keys_len);

@@ -41,10 +41,8 @@
 //! full queue is **shed** — rejected immediately with
 //! [`RequestShed`] and counted — so overload degrades to explicit
 //! rejections instead of unbounded queueing latency; shedding happens
-//! *only* at `queue_cap` (never speculatively). A soft **backpressure
-//! watermark** at ¾ of `queue_cap` is additionally tracked
-//! ([`RequestScheduler::is_backpressured`], plus an event counter) so a
-//! cooperative producer can slow down before it starts losing requests.
+//! *only* at `queue_cap` (never speculatively). The deepest queue seen at
+//! admission is kept as [`SchedulerStats::peak_queue`].
 //!
 //! # Hit-fast path
 //!
@@ -112,11 +110,6 @@ impl Default for SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// The soft backpressure threshold: ¾ of `queue_cap` (at least 1).
-    pub fn backpressure_watermark(&self) -> usize {
-        (self.queue_cap - self.queue_cap / 4).max(1)
-    }
-
     /// Reject zero `wave_size`, `workers`, or `queue_cap`.
     fn validate(&self) -> Result<(), BuildError> {
         if self.wave_size == 0 {
@@ -230,8 +223,6 @@ struct Ingest<K> {
     gap_ewma: Option<Duration>,
     /// Deepest queue observed at admission.
     peak_queue: u64,
-    /// Admissions that left the queue at/above the backpressure watermark.
-    backpressure_events: u64,
 }
 
 impl<K> Ingest<K> {
@@ -273,7 +264,6 @@ impl<K: Key> Shared<K> {
                 last_enqueued: None,
                 gap_ewma: None,
                 peak_queue: 0,
-                backpressure_events: 0,
             }),
             not_empty: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -334,8 +324,6 @@ pub struct SchedulerStats {
     pub wave_requests: u64,
     /// Deepest queue observed at admission (≤ `queue_cap` always).
     pub peak_queue: u64,
-    /// Admissions that left the queue at/above the backpressure watermark.
-    pub backpressure_events: u64,
     /// Commutative completion checksum (see [`result_mix`]).
     pub checksum: u64,
 }
@@ -488,30 +476,13 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
             }
             q.deque.push_back(Request { key, enqueued, slot: Arc::clone(&slot) });
             q.note_arrival(enqueued, self.config.linger);
-            let depth = q.deque.len();
-            q.peak_queue = q.peak_queue.max(depth as u64);
-            if depth >= self.config.backpressure_watermark() {
-                q.backpressure_events += 1;
-            }
+            q.peak_queue = q.peak_queue.max(q.deque.len() as u64);
             q.sleepers > 0
         };
         if wake {
             sh.not_empty.notify_one();
         }
         Ok(Response { inner: ResponseInner::Pending(slot) })
-    }
-
-    /// Whether the queue currently sits at or above the soft backpressure
-    /// watermark (¾ of `queue_cap`) — a cooperative producer should slow
-    /// down; nothing is shed until `queue_cap` itself.
-    pub fn is_backpressured(&self) -> bool {
-        self.shared.queue.lock().expect("scheduler queue").deque.len()
-            >= self.config.backpressure_watermark()
-    }
-
-    /// Current ingest queue depth.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().expect("scheduler queue").deque.len()
     }
 
     /// Block until every submitted request has completed or been shed.
@@ -530,10 +501,7 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
     /// Counter snapshot.
     pub fn stats(&self) -> SchedulerStats {
         let sh = &self.shared;
-        let (peak_queue, backpressure_events) = {
-            let q = sh.queue.lock().expect("scheduler queue");
-            (q.peak_queue, q.backpressure_events)
-        };
+        let peak_queue = sh.queue.lock().expect("scheduler queue").peak_queue;
         SchedulerStats {
             submitted: sh.submitted.load(Ordering::Acquire),
             completed: sh.completed.load(Ordering::Acquire),
@@ -542,7 +510,6 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
             waves: sh.waves.load(Ordering::Relaxed),
             wave_requests: sh.wave_requests.load(Ordering::Relaxed),
             peak_queue,
-            backpressure_events,
             checksum: sh.checksum.load(Ordering::Relaxed),
         }
     }

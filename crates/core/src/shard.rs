@@ -19,22 +19,22 @@
 //! Point queries touch one shard, ordered queries stitch across the
 //! boundary shards, and batches are regrouped per shard so each inner
 //! engine's interleaved-prefetch path still sees a contiguous run of keys.
-//! [`ShardedEngine::par_get_batch`] additionally fans the grouped batch
+//! Its [`QueryEngine::par_get_batch`] additionally fans the grouped batch
 //! across per-call scoped threads — balanced by key count, capped at host
-//! parallelism, with a work floor so small batches never pay spawn cost —
-//! and [`ParallelBatchView`] exposes that path behind the plain
-//! [`QueryEngine`] trait so harnesses measure serial and parallel
-//! execution through identical code.
+//! parallelism, with a work floor so small batches never pay spawn cost.
+//! It is the trait method, so compositors above (cache, write-behind,
+//! snapshots) and harnesses reach the fan-out through any
+//! `&dyn QueryEngine` without knowing the concrete shape.
 
 use crate::data::SortedData;
 use crate::engine::QueryEngine;
 use crate::error::{BuildError, DataError};
 use crate::key::Key;
 
-/// Minimum lookups per worker before [`ShardedEngine::par_get_batch`]
-/// spawns threads: below this, thread dispatch (tens of microseconds per
-/// spawn) outweighs the per-shard lookup work and the grouped batch runs
-/// serially instead.
+/// Minimum lookups per worker before a [`ShardedEngine`]'s
+/// [`QueryEngine::par_get_batch`] spawns threads: below this, thread
+/// dispatch (tens of microseconds per spawn) outweighs the per-shard lookup
+/// work and the grouped batch runs serially instead.
 pub const PAR_MIN_KEYS_PER_WORKER: usize = 4096;
 
 /// Positions at which to cut `keys` into (at most) `shards` contiguous,
@@ -220,7 +220,7 @@ impl<K: Key> ShardedEngine<K> {
     /// batch paths, scattering results into `out[base..]` at their original
     /// positions. The single execution engine behind both
     /// [`QueryEngine::get_batch`] and the small-batch fallback of
-    /// [`ShardedEngine::par_get_batch`].
+    /// [`QueryEngine::par_get_batch`].
     fn exec_groups_serial(
         &self,
         offsets: &[usize],
@@ -241,128 +241,6 @@ impl<K: Key> ShardedEngine<K> {
                 out[base + pos] = *r;
             }
         }
-    }
-
-    /// Batched lookups with the shard groups executed **concurrently** on
-    /// scoped threads, then scattered back into submission order.
-    /// Observably identical to [`QueryEngine::get_batch`].
-    ///
-    /// Threads are spawned per call (scoped — nothing outlives the batch)
-    /// and the *grouped key array* is split into equal contiguous spans,
-    /// one per worker — workers are balanced by key count, not by shard
-    /// count, so a single hot shard's group is shared between workers
-    /// instead of serializing the batch. Spawning costs tens of
-    /// microseconds, so the worker count is capped at both the host's
-    /// available parallelism and one worker per
-    /// [`PAR_MIN_KEYS_PER_WORKER`] lookups; batches too small for two
-    /// workers (and single-core hosts) run the serial grouped path with no
-    /// spawns at all.
-    pub fn par_get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
-        if keys.is_empty() {
-            return;
-        }
-        if self.shards.len() == 1 {
-            return self.shards[0].get_batch(keys, out);
-        }
-        let (offsets, grouped_keys, positions) = self.group_by_shard(keys);
-        let base = out.len();
-        out.resize(base + keys.len(), None);
-        let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-        let pool = cores.min(keys.len() / PAR_MIN_KEYS_PER_WORKER);
-        if pool <= 1 {
-            return self.exec_groups_serial(&offsets, &grouped_keys, &positions, base, out);
-        }
-        // Worker w owns grouped_keys[bounds[w]..bounds[w + 1]] — spans may
-        // cut through a shard group; each sub-span still goes to its own
-        // shard's batch path.
-        let total = keys.len();
-        let bounds: Vec<usize> = (0..=pool).map(|w| w * total / pool).collect();
-        let offsets_ref = &offsets;
-        let grouped_ref = &grouped_keys;
-        let span_results: Vec<Vec<(usize, Vec<Option<u64>>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (a, b) = (w[0], w[1]);
-                    scope.spawn(move || {
-                        let mut parts = Vec::new();
-                        // Last shard whose group starts at or before `a`.
-                        let mut j = offsets_ref.partition_point(|&o| o <= a).saturating_sub(1);
-                        while j < self.shards.len() && offsets_ref[j] < b {
-                            let lo = offsets_ref[j].max(a);
-                            let hi = offsets_ref[j + 1].min(b);
-                            if lo < hi {
-                                let mut res = Vec::with_capacity(hi - lo);
-                                self.shards[j].get_batch(&grouped_ref[lo..hi], &mut res);
-                                parts.push((lo, res));
-                            }
-                            j += 1;
-                        }
-                        parts
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard batch worker")).collect()
-        });
-        for parts in span_results {
-            for (lo, res) in parts {
-                for (i, r) in res.iter().enumerate() {
-                    out[base + positions[lo + i]] = *r;
-                }
-            }
-        }
-    }
-
-    /// Convenience wrapper over [`ShardedEngine::par_get_batch`] returning
-    /// a fresh vector.
-    pub fn par_lookup_batch(&self, keys: &[K]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.par_get_batch(keys, &mut out);
-        out
-    }
-}
-
-/// A borrowed view of a [`ShardedEngine`] whose batch entry point is
-/// [`ShardedEngine::par_get_batch`] — everything else delegates.
-///
-/// Lets harnesses and serving layers that are generic over [`QueryEngine`]
-/// switch between serial and shard-parallel batch execution without a
-/// second code path: measure `&engine` for the serial batches and
-/// `&engine.parallel()` for the fan-out ones.
-pub struct ParallelBatchView<'a, K: Key>(&'a ShardedEngine<K>);
-
-impl<K: Key> ShardedEngine<K> {
-    /// A [`QueryEngine`] view whose `get_batch` fans out across shards
-    /// ([`ShardedEngine::par_get_batch`]).
-    pub fn parallel(&self) -> ParallelBatchView<'_, K> {
-        ParallelBatchView(self)
-    }
-}
-
-impl<K: Key> QueryEngine<K> for ParallelBatchView<'_, K> {
-    fn name(&self) -> String {
-        format!("par-{}", self.0.name())
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn size_bytes(&self) -> usize {
-        self.0.size_bytes()
-    }
-    fn get(&self, key: K) -> Option<u64> {
-        self.0.get(key)
-    }
-    fn lower_bound(&self, key: K) -> Option<(K, u64)> {
-        self.0.lower_bound(key)
-    }
-    fn range(&self, lo: K, hi: K) -> Vec<(K, u64)> {
-        self.0.range(lo, hi)
-    }
-    fn range_sum(&self, lo: K, hi: K) -> u64 {
-        self.0.range_sum(lo, hi)
-    }
-    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
-        self.0.par_get_batch(keys, out)
     }
 }
 
@@ -431,11 +309,74 @@ impl<K: Key> QueryEngine<K> for ShardedEngine<K> {
         self.exec_groups_serial(&offsets, &grouped_keys, &positions, base, out);
     }
 
-    /// The inherent shard-parallel path ([`ShardedEngine::par_get_batch`]),
-    /// surfaced through the trait so type-erased callers (snapshots, the
-    /// write-behind base) fan out without knowing the concrete shape.
+    /// Batched lookups with the shard groups executed **concurrently** on
+    /// scoped threads, then scattered back into submission order.
+    /// Observably identical to [`QueryEngine::get_batch`].
+    ///
+    /// Threads are spawned per call (scoped — nothing outlives the batch)
+    /// and the *grouped key array* is split into equal contiguous spans,
+    /// one per worker — workers are balanced by key count, not by shard
+    /// count, so a single hot shard's group is shared between workers
+    /// instead of serializing the batch. Spawning costs tens of
+    /// microseconds, so the worker count is capped at both the host's
+    /// available parallelism and one worker per
+    /// [`PAR_MIN_KEYS_PER_WORKER`] lookups; batches too small for two
+    /// workers (and single-core hosts) run the serial grouped path with no
+    /// spawns at all.
     fn par_get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
-        ShardedEngine::par_get_batch(self, keys, out)
+        if keys.is_empty() {
+            return;
+        }
+        if self.shards.len() == 1 {
+            return self.shards[0].get_batch(keys, out);
+        }
+        let (offsets, grouped_keys, positions) = self.group_by_shard(keys);
+        let base = out.len();
+        out.resize(base + keys.len(), None);
+        let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+        let pool = cores.min(keys.len() / PAR_MIN_KEYS_PER_WORKER);
+        if pool <= 1 {
+            return self.exec_groups_serial(&offsets, &grouped_keys, &positions, base, out);
+        }
+        // Worker w owns grouped_keys[bounds[w]..bounds[w + 1]] — spans may
+        // cut through a shard group; each sub-span still goes to its own
+        // shard's batch path.
+        let total = keys.len();
+        let bounds: Vec<usize> = (0..=pool).map(|w| w * total / pool).collect();
+        let offsets_ref = &offsets;
+        let grouped_ref = &grouped_keys;
+        let span_results: Vec<Vec<(usize, Vec<Option<u64>>)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = bounds
+                .windows(2)
+                .map(|w| {
+                    let (a, b) = (w[0], w[1]);
+                    scope.spawn(move || {
+                        let mut parts = Vec::new();
+                        // Last shard whose group starts at or before `a`.
+                        let mut j = offsets_ref.partition_point(|&o| o <= a).saturating_sub(1);
+                        while j < self.shards.len() && offsets_ref[j] < b {
+                            let lo = offsets_ref[j].max(a);
+                            let hi = offsets_ref[j + 1].min(b);
+                            if lo < hi {
+                                let mut res = Vec::with_capacity(hi - lo);
+                                self.shards[j].get_batch(&grouped_ref[lo..hi], &mut res);
+                                parts.push((lo, res));
+                            }
+                            j += 1;
+                        }
+                        parts
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("shard batch worker")).collect()
+        });
+        for parts in span_results {
+            for (lo, res) in parts {
+                for (i, r) in res.iter().enumerate() {
+                    out[base + positions[lo + i]] = *r;
+                }
+            }
+        }
     }
 }
 
@@ -475,6 +416,13 @@ mod tests {
     fn sharded(keys: Vec<u64>, shards: usize) -> ShardedEngine<u64> {
         let data = SortedData::new(keys).unwrap();
         ShardedEngine::build_with(&data, shards, full_scan_factory).unwrap()
+    }
+
+    /// `par_get_batch` into a fresh vector.
+    fn par(e: &ShardedEngine<u64>, keys: &[u64]) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        e.par_get_batch(keys, &mut out);
+        out
     }
 
     fn oracle(keys: Vec<u64>) -> StaticEngine<u64, FullScan> {
@@ -573,11 +521,11 @@ mod tests {
         // Deliberately shard-interleaved probe order, misses included.
         let probes: Vec<u64> = (0..700u64).map(|i| (i * 4919) % 6100).collect();
         let batched = e.lookup_batch(&probes);
-        let par = e.par_lookup_batch(&probes);
+        let fanned = par(&e, &probes);
         assert_eq!(batched.len(), probes.len());
         for (i, &p) in probes.iter().enumerate() {
             assert_eq!(batched[i], e.get(p), "get_batch diverges at {p}");
-            assert_eq!(par[i], e.get(p), "par_get_batch diverges at {p}");
+            assert_eq!(fanned[i], e.get(p), "par_get_batch diverges at {p}");
         }
     }
 
@@ -588,7 +536,7 @@ mod tests {
         let e = sharded((0..50_000u64).collect(), 8);
         let probes: Vec<u64> =
             (0..(PAR_MIN_KEYS_PER_WORKER * 8) as u64).map(|i| (i * 31) % 60_000).collect();
-        assert_eq!(e.par_lookup_batch(&probes), e.lookup_batch(&probes));
+        assert_eq!(par(&e, &probes), e.lookup_batch(&probes));
     }
 
     #[test]
@@ -599,7 +547,7 @@ mod tests {
         let probes: Vec<u64> = (0..(PAR_MIN_KEYS_PER_WORKER * 4) as u64)
             .map(|i| if i % 20 == 0 { 40_000 + (i % 10_000) } else { i % 6_000 })
             .collect();
-        assert_eq!(e.par_lookup_batch(&probes), e.lookup_batch(&probes));
+        assert_eq!(par(&e, &probes), e.lookup_batch(&probes));
     }
 
     #[test]
@@ -607,8 +555,8 @@ mod tests {
         let e = sharded((0..100u64).collect(), 1);
         assert_eq!(e.num_shards(), 1);
         assert!(e.lookup_batch(&[]).is_empty());
-        assert!(e.par_lookup_batch(&[]).is_empty());
-        assert_eq!(e.par_lookup_batch(&[50, 1000]), vec![Some(e.get(50).unwrap()), None]);
+        assert!(par(&e, &[]).is_empty());
+        assert_eq!(par(&e, &[50, 1000]), vec![Some(e.get(50).unwrap()), None]);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   stores *shadow entries* with `Option<u64>` payloads: an insert lands
 //!   as `Some(payload)`, a [`WriteBehindEngine::remove`] lands as a
 //!   **tombstone** (`None`) that hides every older record of its key.
+//!   Both are one write kernel: read the key's prior state as (visible
+//!   payload, entries it counts in `len()`), write the new shadow entry,
+//!   and move the exact visible count by `new − counted`.
 //! * **Reads** merge delta-over-stack-over-base: point lookups stop at the
 //!   newest shadow entry (a tombstone hit answers `None`), ordered queries
 //!   stitch merges that drop tombstoned keys, and batched lookups partition
@@ -226,6 +229,22 @@ impl<K: Key> DeltaTier<K> {
         self.tombs.get(key).map(|_| None)
     }
 
+    /// Make `new` — `Some(payload)` a value, `None` a tombstone — the
+    /// key's shadow state, given its `prior` [`DeltaTier::state`]: the only
+    /// place a key moves between the two buffers, and knowing where it was
+    /// spares probing either buffer again.
+    fn set(&mut self, key: K, new: Option<u64>, prior: Option<Option<u64>>) {
+        match (prior, new) {
+            (Some(Some(_)), None) => self.values.remove(key),
+            (Some(None), Some(_)) => self.tombs.remove(key),
+            _ => None,
+        };
+        match new {
+            Some(payload) => self.values.insert(key, payload),
+            None => self.tombs.insert(key, 0),
+        };
+    }
+
     fn len(&self) -> usize {
         self.values.len() + self.tombs.len()
     }
@@ -329,13 +348,6 @@ impl<K: Key> Run<K> {
         self.filter.may_contain(key.to_u64())
     }
 
-    /// [`Run::filter_admits`] with the lookup key's hash work already
-    /// done — stack read loops hash each key once, not once per run.
-    #[inline]
-    fn filter_admits_probe(&self, probe: &FilterProbe) -> bool {
-        self.filter.may_contain_probe(probe)
-    }
-
     #[inline]
     fn is_dead(&self, key: K) -> bool {
         self.dead_keys.binary_search(&key).is_ok()
@@ -349,19 +361,17 @@ impl<K: Key> Run<K> {
 
     /// Shadow state of `key`, probed through the run's engine (the learned
     /// read path), or `None` when the run says nothing about it. The
-    /// caller has already range-pruned and filter-checked the probe — the
-    /// read loops do both explicitly so skipped probes can be counted.
+    /// caller has already range-pruned and filter-checked the probe —
+    /// [`Generation::run_state`] does both explicitly so skipped probes can
+    /// be counted.
     fn probe_unpruned(&self, key: K) -> Option<Option<u64>> {
         let v = self.engine.get(key)?;
         Some((!self.is_dead(key)).then_some(v))
     }
 
-    /// Shadow state of `key`, probed directly against the run's data array
-    /// (one binary search; the write path stays off every engine).
+    /// [`Run::probe_unpruned`] directly against the run's data array (one
+    /// binary search; the write path stays off every engine).
     fn probe_in_data(&self, key: K) -> Option<Option<u64>> {
-        if self.prunes(key) {
-            return None;
-        }
         let pos = self.data.lower_bound(key);
         if pos >= self.data.len() || self.data.key(pos) != key {
             return None;
@@ -497,12 +507,19 @@ impl<K: Key> Generation<K> {
     /// Newest shadow state of `key` in the run stack, or `None` when no
     /// run holds it: one newest-to-oldest walk that skips runs whose fence
     /// bounds prune the key or whose filter proves it absent, tallying the
-    /// probes made and the filter skips. Forced inline, like
-    /// [`Generation::get`]: each caller then compiles to what it was when
-    /// it carried its own copy of this walk (with plain `#[inline]` the
-    /// walk was outlined and `point-hot` measured 5% slower).
+    /// probes made and the filter skips. Each surviving run is asked with
+    /// `probe`: [`Run::probe_unpruned`] on reads, [`Run::probe_in_data`]
+    /// on writes. Forced inline, like [`Generation::get`]: each caller then
+    /// compiles to what it was when it carried its own copy of this walk
+    /// (with plain `#[inline]` the walk was outlined and `point-hot`
+    /// measured 5% slower).
     #[inline(always)]
-    fn run_state(&self, key: K, tally: &mut StackTally) -> Option<Option<u64>> {
+    fn run_state(
+        &self,
+        key: K,
+        tally: &mut StackTally,
+        probe: impl Fn(&Run<K>, K) -> Option<Option<u64>>,
+    ) -> Option<Option<u64>> {
         tally.lookups += 1;
         let fprobe = FilterProbe::new(key.to_u64());
         for entry in &self.probe_runs {
@@ -514,7 +531,7 @@ impl<K: Key> Generation<K> {
                 continue;
             }
             tally.probes += 1;
-            if let Some(state) = entry.run.probe_unpruned(key) {
+            if let Some(state) = probe(&entry.run, key) {
                 return Some(state);
             }
         }
@@ -526,7 +543,7 @@ impl<K: Key> Generation<K> {
     #[inline(always)]
     fn get(&self, key: K, tally: &mut StackTally) -> Option<u64> {
         if !self.probe_runs.is_empty() {
-            if let Some(state) = self.run_state(key, tally) {
+            if let Some(state) = self.run_state(key, tally, Run::probe_unpruned) {
                 return state;
             }
         }
@@ -550,7 +567,7 @@ impl<K: Key> Generation<K> {
         if !self.probe_runs.is_empty() {
             let mut kept = 0;
             for i in 0..keys.len() {
-                match self.run_state(keys[i], tally) {
+                match self.run_state(keys[i], tally, Run::probe_unpruned) {
                     Some(state) => out[slots[i]] = state,
                     None => {
                         (keys[kept], slots[kept]) = (keys[i], slots[i]);
@@ -1043,24 +1060,11 @@ struct Shared<K: Key> {
     /// Exact number of entries a full range scan returns right now: a
     /// shadow value over a base duplicate group collapses the whole group
     /// to one visible entry, and a tombstone hides its key entirely.
-    /// Updated incrementally on insert/remove, under the state write lock.
+    /// Updated by the write kernel ([`WriteBehindEngine::write`]), under
+    /// the state write lock.
     /// Every merge swap leaves it untouched — folding shadow entries down
     /// the stack neither hides nor exposes entries.
     visible_len: AtomicUsize,
-}
-
-/// What the immutable tiers below the active delta currently say about a
-/// key — the information a write needs to return the previous visible
-/// payload and keep `visible_len` exact.
-enum DeeperState {
-    /// Visible value in the frozen delta or a run (counted as one entry).
-    Value(u64),
-    /// Tombstoned in the frozen delta or a run.
-    Tombstone,
-    /// Present only in the base: the duplicate-group sum and group size.
-    BaseGroup(u64, usize),
-    /// Nowhere.
-    Absent,
 }
 
 /// Clears the `merging` flag when the merge cycle ends — including by
@@ -1153,37 +1157,23 @@ impl<K: Key> Shared<K> {
         eprintln!("[writebehind] {what} failed, delta retained: {e}");
     }
 
-    /// What the tiers below the active delta say about `key`, probed
-    /// without touching any engine (runs and base are probed directly in
-    /// their data arrays — the write path stays search-cheap).
-    fn deeper_state(&self, st: &State<K>, key: K) -> DeeperState {
-        if let Some(frozen) = &st.frozen {
-            match frozen.state(key) {
-                Some(Some(v)) => return DeeperState::Value(v),
-                Some(None) => return DeeperState::Tombstone,
-                None => {}
-            }
-        }
-        let fprobe = FilterProbe::new(key.to_u64());
-        for run in st.generation.runs_newest_first() {
-            if !run.filter_admits_probe(&fprobe) {
-                continue; // filter-proven absent; skip the binary search
-            }
-            match run.probe_in_data(key) {
-                Some(Some(v)) => return DeeperState::Value(v),
-                Some(None) => return DeeperState::Tombstone,
-                None => {}
-            }
+    /// What the tiers below the active delta say about `key`, as the write
+    /// kernel's pair: the visible payload and the entries it counts in
+    /// `len()` (a value one, a tombstone or nothing zero, a base duplicate
+    /// group its size). No engine is touched: the frozen delta, then the
+    /// read kernel's run walk with each run probed in its data array, then
+    /// the base data — the write path stays search-cheap.
+    fn deeper_state(&self, st: &State<K>, key: K) -> (Option<u64>, usize) {
+        let shadow = st.frozen.as_ref().and_then(|f| f.state(key)).or_else(|| {
+            st.generation.run_state(key, &mut StackTally::default(), Run::probe_in_data)
+        });
+        if let Some(state) = shadow {
+            return (state, usize::from(state.is_some()));
         }
         let data = &st.generation.data;
         let start = data.lower_bound(key);
-        match data.payload_sum_from(key, start) {
-            Some(sum) => {
-                let group = data.keys()[start..].iter().take_while(|&&x| x == key).count();
-                DeeperState::BaseGroup(sum, group)
-            }
-            None => DeeperState::Absent,
-        }
+        let group = data.keys()[start..].iter().take_while(|&&x| x == key).count();
+        (data.payload_sum_from(key, start), group)
     }
 
     /// The full merge cycle. Caller must have won the `merging` flag; it is
@@ -1325,14 +1315,7 @@ impl<K: Key> Shared<K> {
         let mut st = self.write();
         for &(k, v) in snapshot {
             if st.active.state(k).is_none() {
-                match v {
-                    Some(payload) => {
-                        st.active.values.insert(k, payload);
-                    }
-                    None => {
-                        st.active.tombs.insert(k, 0);
-                    }
-                }
+                st.active.set(k, v, None);
             }
         }
         st.frozen = None;
@@ -1694,41 +1677,7 @@ impl<K: Key> WriteBehindEngine<K> {
     /// keep landing in the fresh active delta meanwhile).
     pub fn insert(&self, key: K, payload: u64) -> Option<u64> {
         self.shared.writes.fetch_add(1, Ordering::Relaxed);
-        let (prev, crossed) = {
-            let mut st = self.shared.write();
-            let prev = match st.active.state(key) {
-                Some(Some(_)) => st.active.values.insert(key, payload),
-                Some(None) => {
-                    // Re-insert over an active tombstone: the key revives.
-                    st.active.tombs.remove(key);
-                    st.active.values.insert(key, payload);
-                    self.shared.visible_len.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-                None => {
-                    let prev = match self.shared.deeper_state(&st, key) {
-                        DeeperState::Value(v) => Some(v),
-                        DeeperState::BaseGroup(sum, group) => {
-                            // First shadow of this key: the base's duplicate
-                            // group collapses to this one visible entry.
-                            self.shared.visible_len.fetch_sub(group - 1, Ordering::Relaxed);
-                            Some(sum)
-                        }
-                        DeeperState::Tombstone | DeeperState::Absent => {
-                            self.shared.visible_len.fetch_add(1, Ordering::Relaxed);
-                            None
-                        }
-                    };
-                    st.active.values.insert(key, payload);
-                    prev
-                }
-            };
-            (prev, st.active.len() >= self.shared.merge_threshold)
-        };
-        if crossed {
-            self.force_merge();
-        }
-        prev
+        self.write(key, Some(payload))
     }
 
     /// Remove `key`, returning the previously visible payload (the
@@ -1740,30 +1689,31 @@ impl<K: Key> WriteBehindEngine<K> {
     /// of absent keys cannot grow the delta).
     pub fn remove(&self, key: K) -> Option<u64> {
         self.shared.removes.fetch_add(1, Ordering::Relaxed);
+        self.write(key, None)
+    }
+
+    /// The write kernel: make `new` (`Some(payload)`, or `None` for a
+    /// tombstone) `key`'s newest shadow state and return the previously
+    /// visible payload. The key's prior state is one pair — its visible
+    /// payload and the entries it counts in `len()` — from the active
+    /// delta, else [`Shared::deeper_state`]. A key invisible before and
+    /// after is left unwritten; otherwise `visible_len` moves by `new −
+    /// counted` (`new` counts one entry for a value, none for a tombstone).
+    /// Then the merge threshold is checked.
+    fn write(&self, key: K, new: Option<u64>) -> Option<u64> {
         let (prev, crossed) = {
             let mut st = self.shared.write();
-            let prev = match st.active.state(key) {
-                Some(Some(_)) => {
-                    let prev = st.active.values.remove(key);
-                    st.active.tombs.insert(key, 0);
-                    self.shared.visible_len.fetch_sub(1, Ordering::Relaxed);
-                    prev
-                }
-                Some(None) => None, // already tombstoned: nothing to do
-                None => match self.shared.deeper_state(&st, key) {
-                    DeeperState::Value(v) => {
-                        st.active.tombs.insert(key, 0);
-                        self.shared.visible_len.fetch_sub(1, Ordering::Relaxed);
-                        Some(v)
-                    }
-                    DeeperState::BaseGroup(sum, group) => {
-                        st.active.tombs.insert(key, 0);
-                        self.shared.visible_len.fetch_sub(group, Ordering::Relaxed);
-                        Some(sum)
-                    }
-                    DeeperState::Tombstone | DeeperState::Absent => None,
-                },
+            let active = st.active.state(key);
+            let (prev, counted) = match active {
+                Some(state) => (state, usize::from(state.is_some())),
+                None => self.shared.deeper_state(&st, key),
             };
+            if prev.is_some() || new.is_some() {
+                st.active.set(key, new, active);
+                // Atomic adds wrap, so a shrink is added as its wrapped negative.
+                let delta = usize::from(new.is_some()).wrapping_sub(counted);
+                self.shared.visible_len.fetch_add(delta, Ordering::Relaxed);
+            }
             (prev, st.active.len() >= self.shared.merge_threshold)
         };
         if crossed {
@@ -2517,6 +2467,75 @@ mod tests {
         assert_eq!(e.insert(20, 99), None);
         assert_eq!(e.get(20), Some(99));
         assert_eq!(e.len(), 4);
+    }
+
+    /// Every prior state a key can be in, crossed with both writes: the
+    /// returned previous payload, `len()`, `delta_len()` and a full scan.
+    #[test]
+    fn write_table_covers_every_prior_state() {
+        enum Write {
+            Insert(u64),
+            Remove,
+        }
+        use Write::{Insert, Remove};
+        type Setup = fn(&WriteBehindEngine<u64>);
+        type Cell =
+            (&'static str, Setup, u64, Write, Option<u64>, usize, usize, &'static [(u64, u64)]);
+        // Base [10, 20, 20, 20, 30] with payloads 1..=5: key 20 is a
+        // duplicate group of three entries whose `get` is 2 + 3 + 4 = 9.
+        let fresh = || {
+            let data = SortedData::with_payloads(vec![10, 20, 20, 20, 30], vec![1, 2, 3, 4, 5]);
+            let (base, delta, policy) =
+                (mirror_factory(), vecmap_factory(), MergePolicy::leveled(2, 2));
+            let mode = MergeMode::Sync;
+            WriteBehindEngine::with_policy(Arc::new(data.unwrap()), base, delta, 100, mode, policy)
+                .unwrap()
+        };
+        let active_value: Setup = |e| {
+            e.insert(15, 7);
+        };
+        let active_tomb: Setup = |e| {
+            e.remove(10);
+        };
+        let run_value: Setup = |e| {
+            e.insert(15, 7);
+            e.force_merge();
+        };
+        let run_tomb: Setup = |e| {
+            e.remove(10);
+            e.force_merge();
+        };
+        let untouched: Setup = |_| {};
+        #[rustfmt::skip]
+        let table: [Cell; 14] = [
+            // prior state       setup         key  write       prev     len  delta  full scan
+            ("active value",     active_value, 15,  Insert(99), Some(7), 6,   1,     &[(10, 1), (15, 99), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("active value",     active_value, 15,  Remove,     Some(7), 5,   1,     &[(10, 1), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("active tombstone", active_tomb,  10,  Insert(99), None,    5,   1,     &[(10, 99), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("active tombstone", active_tomb,  10,  Remove,     None,    4,   1,     &[(20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("run value",        run_value,    15,  Insert(99), Some(7), 6,   1,     &[(10, 1), (15, 99), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("run value",        run_value,    15,  Remove,     Some(7), 5,   1,     &[(10, 1), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("run tombstone",    run_tomb,     10,  Insert(99), None,    5,   1,     &[(10, 99), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("run tombstone",    run_tomb,     10,  Remove,     None,    4,   0,     &[(20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("base group of 3",  untouched,    20,  Insert(99), Some(9), 3,   1,     &[(10, 1), (20, 99), (30, 5)]),
+            ("base group of 3",  untouched,    20,  Remove,     Some(9), 2,   1,     &[(10, 1), (30, 5)]),
+            ("base singleton",   untouched,    30,  Insert(99), Some(5), 5,   1,     &[(10, 1), (20, 2), (20, 3), (20, 4), (30, 99)]),
+            ("base singleton",   untouched,    30,  Remove,     Some(5), 4,   1,     &[(10, 1), (20, 2), (20, 3), (20, 4)]),
+            ("absent",           untouched,    15,  Insert(99), None,    6,   1,     &[(10, 1), (15, 99), (20, 2), (20, 3), (20, 4), (30, 5)]),
+            ("absent",           untouched,    15,  Remove,     None,    5,   0,     &[(10, 1), (20, 2), (20, 3), (20, 4), (30, 5)]),
+        ];
+        for (prior, setup, key, write, prev, len, delta_len, scan) in table {
+            let e = fresh();
+            setup(&e);
+            let (op, got) = match write {
+                Insert(v) => ("insert", e.insert(key, v)),
+                Remove => ("remove", e.remove(key)),
+            };
+            assert_eq!(got, prev, "{op} {key} over {prior}: previous payload");
+            assert_eq!(e.len(), len, "{op} {key} over {prior}: len");
+            assert_eq!(e.delta_len(), delta_len, "{op} {key} over {prior}: delta_len");
+            assert_eq!(e.range(0, u64::MAX), scan, "{op} {key} over {prior}: full scan");
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ fn main() {
 
         // One-at-a-time and batched timings through the same facade; both
         // must reproduce the workload's expected checksum.
-        let scalar = time_lookups_batched(engine.as_ref(), &lookups, 1, 3);
-        let batched = time_lookups_batched(engine.as_ref(), &lookups, 16, 3);
+        let scalar = time_lookups_batched(engine.as_ref(), QueryEngine::get_batch, &lookups, 1, 3);
+        let batched =
+            time_lookups_batched(engine.as_ref(), QueryEngine::get_batch, &lookups, 16, 3);
         assert_eq!(scalar.checksum, expected_checksum);
         assert_eq!(batched.checksum, expected_checksum);
 

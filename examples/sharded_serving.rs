@@ -46,10 +46,10 @@ fn main() {
     // 4. Batched lookups: serial (shard-grouped) and parallel (shard groups
     //    fanned across a scoped pool). Both must reproduce the workload
     //    checksum exactly.
-    for (label, results) in [
-        ("get_batch", engine.lookup_batch(&lookups)),
-        ("par_get_batch", engine.par_lookup_batch(&lookups)),
-    ] {
+    let mut par_results = Vec::new();
+    engine.par_get_batch(&lookups, &mut par_results);
+    let paths = [("get_batch", engine.lookup_batch(&lookups)), ("par_get_batch", par_results)];
+    for (label, results) in paths {
         let sum = results.into_iter().fold(0u64, |a, r| a.wrapping_add(r.unwrap_or(0)));
         assert_eq!(sum, expected_checksum);
         println!("{label:>14}: checksum {sum:#x} ok");
@@ -64,7 +64,8 @@ fn main() {
     let threads = *thread_sweep().last().expect("non-empty");
     let flat = measure_engine_throughput(unsharded.as_ref(), &lookups, threads, false, budget);
     let routed = measure_engine_throughput(&engine, &lookups, threads, false, budget);
-    let fanned = measure_batched_throughput(&engine.parallel(), &lookups, 1024, budget);
+    let fanned =
+        measure_batched_throughput(&engine, QueryEngine::par_get_batch, &lookups, 1024, budget);
     println!(
         "\nthroughput @ {} threads: shared-everything {:.2} M/s | sharded point {:.2} M/s | \
          par batch {:.2} M/s",

@@ -241,7 +241,6 @@ fn overload_sheds_at_queue_cap_and_loses_nothing() {
         stats.peak_queue,
         cfg.queue_cap
     );
-    assert!(stats.backpressure_events > 0, "overload must cross the soft watermark");
     for (key, r) in &accepted {
         assert_eq!(r.wait(), Some(key + 7), "accepted request answered correctly");
     }
