@@ -32,7 +32,7 @@
 //! ends (triggered work is billed to the run that triggered it).
 
 use sosd_bench::dynamic::{run_mixed, run_mixed_writebehind, DynFamily, MixedRunResult};
-use sosd_bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd_bench::registry::{EngineSpec, Family};
 use sosd_bench::report::{fmt_mb, write_json, Report};
 use sosd_bench::Args;
 use sosd_core::{
@@ -144,7 +144,6 @@ fn main() {
                     let spec = EngineSpec::WriteBehind {
                         shards,
                         inner: base_family.default_spec::<u64>(),
-                        delta: DeltaKind::BTree,
                         merge_threshold,
                         policy,
                     };
@@ -251,7 +250,6 @@ fn deep_stack_sweep(report: &mut Report, rows: &mut Vec<MixedRunResult>, args: &
         let spec = EngineSpec::WriteBehind {
             shards: 1,
             inner: Family::Rmi.default_spec::<u64>(),
-            delta: DeltaKind::BTree,
             merge_threshold: run_size * 4,
             policy,
         };

@@ -24,7 +24,7 @@
 //! throughput, or the run fails.
 
 use serde::Serialize;
-use sosd_bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd_bench::registry::{EngineSpec, Family};
 use sosd_bench::report::{write_json, Report};
 use sosd_bench::Args;
 use sosd_core::dynamic::Op;
@@ -79,7 +79,6 @@ fn inner_specs() -> Vec<(&'static str, EngineSpec)> {
             EngineSpec::WriteBehind {
                 shards: 1,
                 inner: rmi,
-                delta: DeltaKind::BTree,
                 merge_threshold: 1 << 40,
                 policy: sosd_core::MergePolicy::Flat,
             },

@@ -37,7 +37,7 @@
 //! re-measures to absorb shared-runner timing noise).
 
 use serde::Serialize;
-use sosd_bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd_bench::registry::{EngineSpec, Family};
 use sosd_bench::report::{write_json, Report};
 use sosd_bench::Args;
 use sosd_core::serve::oracle_checksum;
@@ -107,7 +107,6 @@ fn engine_specs(cache_capacity: usize) -> Vec<(&'static str, bool, EngineSpec)> 
                 inner: Box::new(EngineSpec::WriteBehind {
                     shards: 1,
                     inner: rmi,
-                    delta: DeltaKind::BTree,
                     merge_threshold: 1 << 40,
                     policy: MergePolicy::Flat,
                 }),

@@ -261,7 +261,7 @@ fn measure_auto(
     expected: u64,
 ) -> AdvisorRow {
     let t = Instant::now();
-    let plan = advisor.advise(&ds.data, SHARDS, &Default::default()).expect("advisor plans");
+    let plan = advisor.advise(&ds.data, SHARDS).expect("advisor plans");
     let build_ms = t.elapsed().as_secs_f64() * 1e3;
     // Compress per-shard labels into `family:count` runs, shard order.
     let mut runs: Vec<(String, usize)> = Vec::new();

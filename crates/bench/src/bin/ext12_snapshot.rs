@@ -27,7 +27,7 @@
 //! Run: `cargo run --release -p sosd-bench --bin ext12_snapshot -- --quick`
 
 use serde::Serialize;
-use sosd_bench::registry::{DeltaKind, Family};
+use sosd_bench::registry::{btree_delta, Family};
 use sosd_bench::report::{write_json, Report};
 use sosd_bench::Args;
 use sosd_core::util::splitmix64;
@@ -121,7 +121,7 @@ fn run(args: &Args) -> Report {
     let engine = WriteBehindEngine::with_spool(
         Arc::clone(&data),
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         THRESHOLD,
         MergeMode::Sync,
         MergePolicy::leveled(4, 2),
@@ -282,7 +282,7 @@ fn gate_fingerprints(args: &Args) {
         WriteBehindEngine::with_policy(
             Arc::clone(&data),
             base_factory(),
-            DeltaKind::BTree.factory(),
+            btree_delta(),
             256,
             MergeMode::Sync,
             policy,

@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn writebehind_matches_dynamic_baselines_checksum() {
-        use crate::registry::{DeltaKind, Family};
+        use crate::registry::Family;
         use sosd_core::MergePolicy;
         // A churn mix: removes land as tombstones in the write-behind tier
         // and must fold the same observable results as the in-place
@@ -260,7 +260,6 @@ mod tests {
             let spec = EngineSpec::WriteBehind {
                 shards: 1,
                 inner: Family::BTree.default_spec::<u64>(),
-                delta: DeltaKind::BTree,
                 merge_threshold: 400,
                 policy,
             };

@@ -40,6 +40,6 @@ pub mod timing;
 
 pub use cli::Args;
 pub use designer::{CandidateCost, StoreDesigner};
-pub use registry::{DeltaKind, DynBuilder, EngineSpec, Family, IndexParams, IndexSpec};
+pub use registry::{btree_delta, DynBuilder, EngineSpec, Family, IndexParams, IndexSpec};
 pub use report::Report;
 pub use timing::{time_lookups, time_lookups_batched, LookupTiming};

@@ -9,14 +9,14 @@
 //!
 //! One layer up, [`EngineSpec`] configures how an index is *served*:
 //! directly, partitioned behind a key-range [`ShardedEngine`], wrapped in a
-//! write-behind tier whose delta buffer family is picked by [`DeltaKind`],
+//! write-behind tier whose delta buffer is a B+Tree ([`btree_delta`]),
 //! fronted by a hot-key result cache over any of the above, or sharded with
 //! each shard's index picked by a trained [`Advisor`].
 //! [`EngineSpec::scheduler`] puts a [`RequestScheduler`] in front of any of
 //! them.
 
 use sosd_baselines::{BsBuilder, RbsBuilder};
-use sosd_core::advisor::{AdvisedPlan, Advisor, Candidate, ObservabilityHub};
+use sosd_core::advisor::{AdvisedPlan, Advisor, Candidate};
 use sosd_core::serve::FastProbe;
 use sosd_core::writebehind::{BaseFactory, DeltaFactory};
 use sosd_core::{
@@ -254,51 +254,13 @@ impl IndexSpec {
     }
 }
 
-/// The delta-buffer family of a write-behind engine: every updatable
-/// structure in the workspace can absorb the write tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeltaKind {
-    /// Insertable B+Tree — the default: cheap inserts, and its chained
-    /// leaves give the delta drain and range stitch a true leaf walk
-    /// (`for_each_in` is one descent plus a sequential scan).
-    BTree,
-    /// ALEX-style gapped model arrays.
-    Alex,
-    /// Dynamic PGM (logarithmic method over static PGMs).
-    DynamicPgm,
-    /// Dynamic FITing-Tree (cone segments with per-segment buffers).
-    Fiting,
-}
-
-impl DeltaKind {
-    /// Every delta family.
-    pub const ALL: [DeltaKind; 4] =
-        [DeltaKind::BTree, DeltaKind::Alex, DeltaKind::DynamicPgm, DeltaKind::Fiting];
-
-    /// Short token used in write-behind labels (`wb[…+btree@N]`).
-    pub fn token(self) -> &'static str {
-        match self {
-            DeltaKind::BTree => "btree",
-            DeltaKind::Alex => "alex",
-            DeltaKind::DynamicPgm => "pgm",
-            DeltaKind::Fiting => "fiting",
-        }
-    }
-
-    /// An empty delta buffer of this family.
-    pub fn make<K: Key>(self) -> Box<dyn DynamicOrderedIndex<K>> {
-        match self {
-            DeltaKind::BTree => Box::new(sosd_btree::DynamicBTree::new()),
-            DeltaKind::Alex => Box::new(sosd_alex::AlexTree::new()),
-            DeltaKind::DynamicPgm => Box::new(sosd_pgm::DynamicPgm::new()),
-            DeltaKind::Fiting => Box::new(sosd_fiting::DynamicFitingTree::new()),
-        }
-    }
-
-    /// The [`DeltaFactory`] handed to [`WriteBehindEngine`].
-    pub fn factory<K: Key>(self) -> DeltaFactory<K> {
-        Arc::new(move || self.make::<K>())
-    }
+/// The write-behind delta buffer every engine spec uses, as the
+/// [`DeltaFactory`] handed to [`WriteBehindEngine`]: an insertable B+Tree —
+/// cheap inserts, and its chained leaves give the delta drain and range
+/// stitch a true leaf walk (`for_each_in` is one descent plus a sequential
+/// scan).
+pub fn btree_delta<K: Key>() -> DeltaFactory<K> {
+    Arc::new(|| Box::new(sosd_btree::DynamicBTree::new()) as Box<dyn DynamicOrderedIndex<K>>)
 }
 
 /// A serving-engine configuration: one layer above [`IndexSpec`].
@@ -314,8 +276,7 @@ impl DeltaKind {
 ///
 /// The self-tuning variant ([`EngineSpec::AutoTuned`]) names only the
 /// *candidate pool*; the per-shard winners are chosen at build time by a
-/// trained [`Advisor`] from each shard's key distribution and the current
-/// access snapshot.
+/// trained [`Advisor`] from each shard's key distribution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EngineSpec {
     /// Serve one index over the whole dataset (the shared-everything
@@ -343,8 +304,6 @@ pub enum EngineSpec {
         /// The index configuration of the base (per shard when sharded;
         /// under a leveled policy also built per frozen run).
         inner: IndexSpec,
-        /// The delta-buffer family.
-        delta: DeltaKind,
         /// Active-delta shadow-entry count that triggers a merge.
         merge_threshold: usize,
         /// How merges fold the delta into the immutable tiers: one flat
@@ -386,14 +345,13 @@ impl EngineSpec {
             EngineSpec::Sharded { shards, inner } => {
                 format!("sharded{}x[{}]", shards, inner.label::<K>())
             }
-            EngineSpec::WriteBehind { shards, inner, delta, merge_threshold, policy } => {
+            EngineSpec::WriteBehind { shards, inner, merge_threshold, policy } => {
                 let base = EngineSpec::base_spec(*shards, *inner).label::<K>();
                 match policy {
-                    MergePolicy::Flat => format!("wb[{base}+{}@{merge_threshold}]", delta.token()),
-                    MergePolicy::Leveled { fanout, max_levels } => format!(
-                        "wb[{base}+{}@{merge_threshold},lvl{fanout}x{max_levels}]",
-                        delta.token()
-                    ),
+                    MergePolicy::Flat => format!("wb[{base}@{merge_threshold}]"),
+                    MergePolicy::Leveled { fanout, max_levels } => {
+                        format!("wb[{base}@{merge_threshold},lvl{fanout}x{max_levels}]")
+                    }
                 }
             }
             EngineSpec::Cached { capacity, stripes, negative, inner } => {
@@ -458,21 +416,17 @@ impl EngineSpec {
         let EngineSpec::AutoTuned { shards, .. } = self else {
             return Err(BuildError::InvalidConfig("advised_plan needs an autotuned spec".into()));
         };
-        self.advisor::<K>()?.advise(data, *shards, &Default::default())
+        self.advisor::<K>()?.advise(data, *shards)
     }
 
     /// Build a [`WriteBehindEngine`] whose base is *re-advised at every
-    /// rebuild*: each merge reads `hub`'s current access snapshot (hot-key
-    /// histogram, operation mix), re-scores the candidate pool per shard of
-    /// the merged data, and publishes the winning labels back into the hub.
-    /// Non-auto-tuned specs are rejected.
+    /// rebuild*: each base rebuild re-scores the candidate pool per shard
+    /// of the merged data. Non-auto-tuned specs are rejected.
     pub fn advised_writebehind_engine<K: Key>(
         &self,
         data: &Arc<SortedData<K>>,
-        delta: DeltaKind,
         merge_threshold: usize,
         mode: MergeMode,
-        hub: &Arc<ObservabilityHub<K>>,
     ) -> Result<WriteBehindEngine<K>, BuildError> {
         let EngineSpec::AutoTuned { shards, .. } = self else {
             return Err(BuildError::InvalidConfig(
@@ -482,8 +436,8 @@ impl EngineSpec {
         let advisor = Arc::new(self.advisor::<K>()?);
         WriteBehindEngine::new(
             Arc::clone(data),
-            advisor.base_factory(*shards, hub),
-            delta.factory::<K>(),
+            advisor.base_factory(*shards),
+            btree_delta::<K>(),
             merge_threshold,
             mode,
         )
@@ -545,8 +499,7 @@ impl EngineSpec {
         strategy: SearchStrategy,
         mode: MergeMode,
     ) -> Result<WriteBehindEngine<K>, BuildError> {
-        let &EngineSpec::WriteBehind { shards, inner, delta, merge_threshold, policy } = self
-        else {
+        let &EngineSpec::WriteBehind { shards, inner, merge_threshold, policy } = self else {
             return Err(BuildError::InvalidConfig(
                 "writebehind_engine needs a write-behind spec".into(),
             ));
@@ -557,7 +510,7 @@ impl EngineSpec {
         WriteBehindEngine::with_policy(
             Arc::clone(data),
             base_factory,
-            delta.factory::<K>(),
+            btree_delta::<K>(),
             merge_threshold,
             mode,
             policy,
@@ -991,16 +944,12 @@ mod tests {
             assert_eq!(pick.scores.len(), 2);
         }
         // Behind a write-behind tier the base re-advises at every rebuild.
-        let hub = Arc::new(ObservabilityHub::<u64>::new());
-        let wb = spec
-            .advised_writebehind_engine(&data, DeltaKind::BTree, 1 << 20, MergeMode::Sync, &hub)
-            .unwrap();
-        assert_eq!(hub.retunes(), 1, "initial base build advises once");
-        assert!(!hub.last_picks().is_empty());
+        let wb = spec.advised_writebehind_engine(&data, 1 << 20, MergeMode::Sync).unwrap();
         wb.insert(1, 111);
-        wb.retune(&hub);
-        assert_eq!(hub.retunes(), 2, "explicit retune re-advises");
-        assert_eq!(wb.get(1), Some(111), "retune keeps the visible mapping");
+        wb.force_merge();
+        assert_eq!(wb.merges_completed(), 1, "a forced merge rebuilds the advised base");
+        assert_eq!(wb.delta_len(), 0);
+        assert_eq!(wb.get(1), Some(111), "re-advising keeps the visible mapping");
         assert_eq!(wb.get(data.key(123)), Some(data.payload(123)));
     }
 
@@ -1013,7 +962,6 @@ mod tests {
         let wb = |merge_threshold, policy| EngineSpec::WriteBehind {
             shards: 1,
             inner: bs,
-            delta: DeltaKind::BTree,
             merge_threshold,
             policy,
         };
@@ -1058,7 +1006,6 @@ mod tests {
         let spec = EngineSpec::WriteBehind {
             shards: 2,
             inner: Family::Pgm.default_spec::<u64>(),
-            delta: DeltaKind::BTree,
             merge_threshold: 100,
             policy: MergePolicy::Flat,
         };
@@ -1089,7 +1036,6 @@ mod tests {
         let leveled = EngineSpec::WriteBehind {
             shards: 1,
             inner: Family::Pgm.default_spec::<u64>(),
-            delta: DeltaKind::BTree,
             merge_threshold: 100,
             policy: MergePolicy::leveled(4, 2),
         };
@@ -1201,16 +1147,5 @@ mod tests {
         assert_eq!(r.wait(), None);
         sched.wait_idle();
         assert_eq!(sched.stats().fast_hits, 2);
-    }
-
-    #[test]
-    fn every_delta_kind_constructs_and_inserts() {
-        for kind in DeltaKind::ALL {
-            let mut d = kind.make::<u64>();
-            assert_eq!(d.len(), 0, "{}", kind.token());
-            assert_eq!(d.insert(42, 7), None);
-            assert_eq!(d.insert(42, 8), Some(7));
-            assert_eq!(d.get(42), Some(8), "{}", kind.token());
-        }
     }
 }

@@ -4,13 +4,13 @@
 //! The paper's central finding is that no single index family wins
 //! everywhere — the best choice depends on the key distribution and the
 //! workload. The serving stack already rebuilds the write-behind base from
-//! scratch at every merge, so this module closes the loop: at rebuild time
-//! (and on explicit retune), sample each shard's key distribution, fold in
-//! recent access observability (hot-key histogram from the cache tier,
-//! read/write/remove mix from the delta), score every candidate index with
+//! scratch at every merge, so this module closes the loop: at rebuild time,
+//! sample each shard's key distribution, score every candidate index with
 //! a **trained-once linear cost model**, and emit a possibly heterogeneous
 //! [`ShardedEngine`] — an RMI on a smooth shard, a PGM on a bursty one, a
-//! plain binary-search engine on a tiny hot shard.
+//! plain binary-search engine on a tiny shard. The inputs are the shard's
+//! data alone: the same features (§4.3's log2 error, `log2 n`) the paper
+//! uses to explain lookup time.
 //!
 //! # How scoring works
 //!
@@ -37,27 +37,19 @@
 //! is to *prune*: candidates predicted within `RUNOFF_FACTOR`× of the
 //! model's favorite enter a measured runoff over the same probe sample
 //! (the indexes are already built; timing ~1k probes costs microseconds),
-//! and the runoff decides the pick. The access snapshot folds in two
-//! ways: hot keys inside the shard's range are appended to the probe
-//! sample (so both `mean_log2` and the runoff reflect the traffic
-//! actually hitting the shard), and the write fraction of the
-//! read/write/remove mix charges each candidate its measured build time
-//! amortized per entry (write-heavy shards drift toward cheap-to-rebuild
-//! families).
+//! and the runoff decides the pick.
 //!
-//! # Retune-at-rebuild invariant
+//! # Re-advise at every rebuild
 //!
-//! An advisor-driven [`base factory`](Advisor::base_factory) re-advises at
-//! **every** write-behind base rebuild — threshold merges, compactions
-//! that fold into the base, and explicit
-//! [`retune`](crate::writebehind::WriteBehindEngine::retune) calls — and
-//! publishes its per-shard picks into the [`ObservabilityHub`]. Because
-//! the rebuild swaps generations behind the epoch pointer, a retune never
+//! An advisor-driven [`base factory`](Advisor::base_factory) re-advises
+//! the merged data at **every** write-behind base rebuild — threshold and
+//! forced merges, and compactions that fold into the base. Because the
+//! rebuild swaps generations behind the epoch pointer, a re-pick never
 //! changes the visible mapping: readers see either the old heterogeneous
 //! engine or the new one, both answering identically.
 //!
 //! ```
-//! use sosd_core::advisor::{AccessSnapshot, Advisor, Candidate};
+//! use sosd_core::advisor::{Advisor, Candidate};
 //! use sosd_core::testutil::MirrorIndex;
 //! use sosd_core::{QueryEngine, SortedData};
 //!
@@ -66,7 +58,7 @@
 //! })];
 //! let advisor = Advisor::train(candidates).unwrap();
 //! let data = SortedData::new((0..10_000u64).map(|i| i * 3).collect()).unwrap();
-//! let plan = advisor.advise(&data, 4, &AccessSnapshot::default()).unwrap();
+//! let plan = advisor.advise(&data, 4).unwrap();
 //! assert_eq!(plan.engine.get(300), Some(data.payload(100)));
 //! assert_eq!(plan.picks.len(), plan.engine.num_shards());
 //! ```
@@ -82,17 +74,12 @@ use crate::stats::log2_error_stats;
 use crate::util::splitmix64;
 use crate::writebehind::BaseFactory;
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-shard probe-sample budget for feature extraction (even-stride
-/// deterministic sample; hot keys are appended on top).
+/// deterministic sample).
 const SAMPLE_CAP: usize = 1_024;
-
-/// Hot keys folded into a shard's probe sample at most this many times —
-/// enough to bias `mean_log2` toward the hot range without drowning the
-/// distribution-wide sample.
-const HOT_SAMPLE_CAP: usize = 256;
 
 /// Training-grid sizes (keys per synthetic dataset). Three sizes give the
 /// `log2(n)` regressor spread; kept small so training stays in the tens of
@@ -148,111 +135,6 @@ impl<K: Key> std::fmt::Debug for Candidate<K> {
     }
 }
 
-/// The read/write/remove operation mix observed by a serving tier since
-/// construction — the workload half of the advisor's inputs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessMix {
-    /// Point-read keys served (`get` plus every `get_batch` key).
-    pub reads: u64,
-    /// Inserts/overwrites absorbed.
-    pub writes: u64,
-    /// Removes (tombstones) absorbed.
-    pub removes: u64,
-}
-
-impl AccessMix {
-    /// Fraction of operations that mutate (`writes + removes`) — 0.0 on an
-    /// empty mix.
-    pub fn write_fraction(&self) -> f64 {
-        let total = self.reads + self.writes + self.removes;
-        if total == 0 {
-            0.0
-        } else {
-            (self.writes + self.removes) as f64 / total as f64
-        }
-    }
-}
-
-/// Everything the advisor knows about recent traffic when it re-scores:
-/// the operation mix plus a hot-key histogram (key, weight) from the cache
-/// tier's stripe counters.
-#[derive(Debug, Clone)]
-pub struct AccessSnapshot<K: Key> {
-    /// Operation mix from the write-behind tier.
-    pub mix: AccessMix,
-    /// Hot keys with CLOCK weights, hottest first.
-    pub hot_keys: Vec<(K, u64)>,
-}
-
-impl<K: Key> Default for AccessSnapshot<K> {
-    fn default() -> Self {
-        AccessSnapshot { mix: AccessMix::default(), hot_keys: Vec::new() }
-    }
-}
-
-/// The meeting point between tiers: the cache publishes its hot-key
-/// histogram, the write-behind tier publishes its operation mix, and the
-/// advisor-driven base factory consumes the combined snapshot at every
-/// rebuild — the first place one tier's observability reconfigures
-/// another. Also records the advisor's most recent per-shard picks so
-/// harnesses and tests can see what was chosen without racing the rebuild.
-#[derive(Debug)]
-pub struct ObservabilityHub<K: Key> {
-    snapshot: Mutex<AccessSnapshot<K>>,
-    picks: Mutex<Vec<String>>,
-    retunes: Mutex<u64>,
-}
-
-impl<K: Key> Default for ObservabilityHub<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Key> ObservabilityHub<K> {
-    /// An empty hub.
-    pub fn new() -> Self {
-        ObservabilityHub {
-            snapshot: Mutex::new(AccessSnapshot::default()),
-            picks: Mutex::new(Vec::new()),
-            retunes: Mutex::new(0),
-        }
-    }
-
-    /// Replace the operation mix (counters are cumulative at the source,
-    /// so the latest publish wins).
-    pub fn publish_mix(&self, mix: AccessMix) {
-        self.snapshot.lock().expect("hub snapshot lock").mix = mix;
-    }
-
-    /// Replace the hot-key histogram.
-    pub fn publish_hot_keys(&self, hot_keys: Vec<(K, u64)>) {
-        self.snapshot.lock().expect("hub snapshot lock").hot_keys = hot_keys;
-    }
-
-    /// The current combined snapshot.
-    pub fn snapshot(&self) -> AccessSnapshot<K> {
-        self.snapshot.lock().expect("hub snapshot lock").clone()
-    }
-
-    /// Record the advisor's per-shard pick labels for the latest rebuild.
-    pub fn record_picks(&self, picks: Vec<String>) {
-        *self.picks.lock().expect("hub picks lock") = picks;
-        *self.retunes.lock().expect("hub retune counter") += 1;
-    }
-
-    /// Per-shard pick labels of the most recent advised rebuild (empty
-    /// before the first).
-    pub fn last_picks(&self) -> Vec<String> {
-        self.picks.lock().expect("hub picks lock").clone()
-    }
-
-    /// Number of advised rebuilds recorded so far.
-    pub fn retunes(&self) -> u64 {
-        *self.retunes.lock().expect("hub retune counter")
-    }
-}
-
 /// One candidate's score on one shard.
 #[derive(Debug, Clone)]
 pub struct CandidateScore {
@@ -260,17 +142,15 @@ pub struct CandidateScore {
     pub candidate: usize,
     /// The candidate's label.
     pub label: String,
-    /// Cost-model prediction, nanoseconds per lookup (write-amortized
-    /// build charge included). `f64::INFINITY` when the build failed.
+    /// Cost-model prediction, nanoseconds per lookup. `f64::INFINITY` when
+    /// the build failed.
     pub predicted_ns: f64,
-    /// Measured runoff cost (same charge included) — `Some` only for
-    /// candidates predicted within `RUNOFF_FACTOR`× of the model's
-    /// favorite. The pick minimizes this among runoff entrants.
+    /// Measured runoff cost — `Some` only for candidates predicted within
+    /// `RUNOFF_FACTOR`× of the model's favorite. The pick minimizes this
+    /// among runoff entrants.
     pub runoff_ns: Option<f64>,
-    /// Mean log2 bound width over the shard's access-weighted sample.
+    /// Mean log2 bound width over the shard's stride sample.
     pub mean_log2: f64,
-    /// Measured build time on this shard, nanoseconds.
-    pub build_ns: f64,
 }
 
 /// The advisor's decision for one shard: the winning candidate plus every
@@ -299,23 +179,20 @@ pub struct AdvisedPlan<K: Key> {
 }
 
 /// Per-candidate trained weights: `predicted_ns = w0 + w1 * mean_log2 +
-/// w2 * log2(n)`, plus the mean build rate for the write-amortization
-/// charge.
+/// w2 * log2(n)`.
 #[derive(Debug, Clone, Copy)]
 struct CandidateWeights {
     w0: f64,
     w1: f64,
     w2: f64,
-    /// Mean build nanoseconds per key over the training grid.
-    build_ns_per_key: f64,
 }
 
 /// The trained-once, candidate-injected index advisor.
 ///
-/// Construction ([`Advisor::train`]) is where all timing happens; advising
-/// is deterministic given the shard data and access snapshot (bound stats
-/// plus trained weights — no clocks on the advise path except the free
-/// build-time measurement of candidates that are being built anyway).
+/// Construction ([`Advisor::train`]) is where the cost model is timed; the
+/// model's prediction on a shard is deterministic given the shard data
+/// (bound stats plus trained weights), and the only clock on the advise
+/// path is the measured runoff among the model's shortlist.
 pub struct Advisor<K: Key> {
     candidates: Vec<Candidate<K>>,
     weights: Vec<CandidateWeights>,
@@ -344,15 +221,10 @@ impl<K: Key> Advisor<K> {
         for cand in &candidates {
             let mut xs: Vec<Vec<f64>> = Vec::new();
             let mut ys: Vec<f64> = Vec::new();
-            let mut build_ns_total = 0.0f64;
-            let mut build_keys_total = 0.0f64;
             for data in &grid {
-                let t = Instant::now();
                 let Ok(index) = cand.build(data) else {
                     continue;
                 };
-                build_ns_total += t.elapsed().as_nanos() as f64;
-                build_keys_total += data.len() as f64;
                 let probes = stride_sample(data, TRAIN_PROBES);
                 let stats = log2_error_stats(index.as_ref(), data, &probes);
                 let ns = min_lookup_ns(index.as_ref(), data, &probes);
@@ -365,11 +237,7 @@ impl<K: Key> Advisor<K> {
                     cand.label()
                 )));
             }
-            weights.push(fit_weights(
-                &xs,
-                &ys,
-                if build_keys_total > 0.0 { build_ns_total / build_keys_total } else { 0.0 },
-            ));
+            weights.push(fit_weights(&xs, &ys));
         }
         Ok(Advisor { candidates, weights })
     }
@@ -379,38 +247,28 @@ impl<K: Key> Advisor<K> {
         &self.candidates
     }
 
-    /// Score every candidate on one shard under the given access snapshot:
-    /// the trained model prices all of them, then the candidates within
-    /// `RUNOFF_FACTOR`× of the model's favorite are timed over the probe
-    /// sample and the measured runoff decides. Returns the built winner
-    /// index alongside the pick so callers can serve from it without a
-    /// second build. Fails only when no candidate builds on the shard.
-    pub fn score_shard(
+    /// Score every candidate on one shard: the trained model prices all of
+    /// them, then the candidates within `RUNOFF_FACTOR`× of the model's
+    /// favorite are timed over the probe sample and the measured runoff
+    /// decides. Returns the built winner index alongside the pick so
+    /// callers can serve from it without a second build. Fails only when
+    /// no candidate builds on the shard.
+    fn score_shard(
         &self,
         shard: &SortedData<K>,
-        obs: &AccessSnapshot<K>,
     ) -> Result<(ShardPick, Box<dyn Index<K>>), BuildError> {
-        let probes = shard_sample(shard, obs);
-        let write_fraction = obs.mix.write_fraction();
+        let probes = stride_sample(shard, SAMPLE_CAP);
         let mut scores: Vec<CandidateScore> = Vec::with_capacity(self.candidates.len());
         let mut built: Vec<Option<Box<dyn Index<K>>>> = Vec::with_capacity(self.candidates.len());
         for (i, cand) in self.candidates.iter().enumerate() {
-            let t = Instant::now();
             let index = cand.build(shard);
-            let build_ns = t.elapsed().as_nanos() as f64;
             let (predicted_ns, mean_log2) = match &index {
                 Ok(index) => {
                     let stats = log2_error_stats(index.as_ref(), shard, &probes);
                     let w = &self.weights[i];
-                    // The lookup prediction plus the write-amortized
-                    // rebuild charge: a merge rebuilds the whole shard, so
-                    // every mutating op is billed one key's worth of this
-                    // candidate's build rate.
                     let lookup_ns =
                         w.w0 + w.w1 * stats.mean_log2 + w.w2 * (shard.len() as f64).log2();
-                    let write_ns =
-                        write_fraction * w.build_ns_per_key.max(build_ns / shard.len() as f64);
-                    (lookup_ns.max(0.0) + write_ns, stats.mean_log2)
+                    (lookup_ns.max(0.0), stats.mean_log2)
                 }
                 Err(_) => (f64::INFINITY, f64::INFINITY),
             };
@@ -421,7 +279,6 @@ impl<K: Key> Advisor<K> {
                 predicted_ns,
                 runoff_ns: None,
                 mean_log2,
-                build_ns,
             });
         }
         let mut by_cost: Vec<f64> = scores.iter().map(|s| s.predicted_ns).collect();
@@ -434,18 +291,14 @@ impl<K: Key> Advisor<K> {
         // model trained through a timing burst can price its favorite at
         // <= 0 ns, and a multiple of that would prune every competitor.
         let shortlist_ns = (RUNOFF_FACTOR * favorite).max(*by_cost.get(1).unwrap_or(&favorite));
-        // Measured runoff among the model's shortlist. The write charge is
-        // re-applied on top of the measured lookup cost so the same
-        // workload pressure shapes both rounds.
+        // Measured runoff among the model's shortlist.
         let mut winner: Option<(usize, f64)> = None;
         for (i, score) in scores.iter_mut().enumerate() {
             let Some(index) = &built[i] else { continue };
             if score.predicted_ns > shortlist_ns {
                 continue;
             }
-            let measured = min_lookup_ns(index.as_ref(), shard, &probes)
-                + write_fraction
-                    * self.weights[i].build_ns_per_key.max(score.build_ns / shard.len() as f64);
+            let measured = min_lookup_ns(index.as_ref(), shard, &probes);
             score.runoff_ns = Some(measured);
             if winner.is_none_or(|(_, best_ns)| measured < best_ns) {
                 winner = Some((i, measured));
@@ -479,11 +332,10 @@ impl<K: Key> Advisor<K> {
         &self,
         data: &SortedData<K>,
         shards: usize,
-        obs: &AccessSnapshot<K>,
     ) -> Result<AdvisedPlan<K>, BuildError> {
         let mut picks = Vec::new();
         let engine = ShardedEngine::build_with(data, shards, |part| {
-            let (pick, index) = self.score_shard(&part, obs)?;
+            let (pick, index) = self.score_shard(&part)?;
             picks.push(pick);
             Ok(Box::new(StaticEngine::new(index, Arc::new(part))) as Box<dyn QueryEngine<K>>)
         })?;
@@ -491,22 +343,14 @@ impl<K: Key> Advisor<K> {
     }
 
     /// A write-behind [`BaseFactory`] that re-advises at every base
-    /// rebuild: each rebuild reads the hub's current access snapshot,
-    /// scores every candidate per shard of the merged data, publishes the
-    /// picks back into the hub, and serves the new generation from the
-    /// heterogeneous winner set. The generation swap makes the retune
-    /// invisible: the mapping before and after is identical.
-    pub fn base_factory(
-        self: &Arc<Self>,
-        shards: usize,
-        hub: &Arc<ObservabilityHub<K>>,
-    ) -> BaseFactory<K> {
+    /// rebuild: each rebuild scores every candidate per shard of the
+    /// merged data and serves the new generation from the heterogeneous
+    /// winner set. The generation swap makes the re-pick invisible: the
+    /// mapping before and after is identical.
+    pub fn base_factory(self: &Arc<Self>, shards: usize) -> BaseFactory<K> {
         let advisor = Arc::clone(self);
-        let hub = Arc::clone(hub);
         Arc::new(move |data: Arc<SortedData<K>>| {
-            let obs = hub.snapshot();
-            let plan = advisor.advise(&data, shards, &obs)?;
-            hub.record_picks(plan.picks.iter().map(|p| p.label.clone()).collect());
+            let plan = advisor.advise(&data, shards)?;
             Ok(Box::new(plan.engine) as Box<dyn QueryEngine<K>>)
         })
     }
@@ -519,24 +363,6 @@ fn stride_sample<K: Key>(data: &SortedData<K>, cap: usize) -> Vec<K> {
     let count = cap.min(n).max(1);
     let stride = n / count;
     (0..count).map(|i| data.key((i * stride + stride / 2).min(n - 1))).collect()
-}
-
-/// The shard's feature sample: the deterministic stride sample plus every
-/// hub hot key that lands inside the shard's key range (weight-capped), so
-/// bound statistics reflect the traffic actually served.
-fn shard_sample<K: Key>(shard: &SortedData<K>, obs: &AccessSnapshot<K>) -> Vec<K> {
-    let mut probes = stride_sample(shard, SAMPLE_CAP);
-    let (lo, hi) = (shard.min_key(), shard.max_key());
-    let mut hot_budget = HOT_SAMPLE_CAP;
-    for &(key, weight) in &obs.hot_keys {
-        if key < lo || key > hi || hot_budget == 0 {
-            continue;
-        }
-        let times = (weight as usize).clamp(1, 8).min(hot_budget);
-        probes.extend(std::iter::repeat_n(key, times));
-        hot_budget -= times;
-    }
-    probes
 }
 
 /// The synthetic training shapes at one size: a linear ramp, a smooth
@@ -585,7 +411,7 @@ fn min_lookup_ns<K: Key>(index: &dyn Index<K>, data: &SortedData<K>, probes: &[K
 /// every training set, which would make the design matrix singular). A
 /// still-singular or too-small system falls back to the mean observed
 /// cost as a flat intercept — a valid, if blunt, predictor.
-fn fit_weights(xs: &[Vec<f64>], ys: &[f64], build_ns_per_key: f64) -> CandidateWeights {
+fn fit_weights(xs: &[Vec<f64>], ys: &[f64]) -> CandidateWeights {
     let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
     let variance = |col: usize| -> f64 {
         let mean = xs.iter().map(|r| r[col]).sum::<f64>() / xs.len() as f64;
@@ -600,15 +426,10 @@ fn fit_weights(xs: &[Vec<f64>], ys: &[f64], build_ns_per_key: f64) -> CandidateW
             for (slot, &col) in keep.iter().enumerate() {
                 w[col] = fit.coefficients[slot + 1];
             }
-            return CandidateWeights {
-                w0: fit.coefficients[0],
-                w1: w[0],
-                w2: w[1],
-                build_ns_per_key,
-            };
+            return CandidateWeights { w0: fit.coefficients[0], w1: w[0], w2: w[1] };
         }
     }
-    CandidateWeights { w0: mean_y, w1: 0.0, w2: 0.0, build_ns_per_key }
+    CandidateWeights { w0: mean_y, w1: 0.0, w2: 0.0 }
 }
 
 /// Exhaustively partition-and-measure helper used by tests and the ext11
@@ -748,7 +569,7 @@ mod tests {
     fn trains_and_prefers_fast_candidates_over_linear_scans() {
         let advisor = Advisor::train(vec![exact_candidate(), scan_candidate()]).unwrap();
         let data = SortedData::new((0..50_000u64).map(|i| i * 3).collect()).unwrap();
-        let plan = advisor.advise(&data, 4, &AccessSnapshot::default()).unwrap();
+        let plan = advisor.advise(&data, 4).unwrap();
         assert_eq!(plan.picks.len(), plan.engine.num_shards());
         for pick in &plan.picks {
             assert_eq!(pick.label, "exact", "exact bounds must beat linear scans: {pick:?}");
@@ -767,7 +588,7 @@ mod tests {
     fn advised_engine_answers_like_the_data() {
         let advisor = Advisor::train(vec![mirror_candidate()]).unwrap();
         let data = SortedData::new((0..10_000u64).map(|i| i * 7 + 1).collect()).unwrap();
-        let plan = advisor.advise(&data, 8, &AccessSnapshot::default()).unwrap();
+        let plan = advisor.advise(&data, 8).unwrap();
         for i in (0..data.len()).step_by(97) {
             let k = data.key(i);
             assert_eq!(plan.engine.get(k), Some(data.payload_sum_at(k)));
@@ -783,7 +604,7 @@ mod tests {
         // But a candidate that merely loses still appears in the scores.
         let advisor = Advisor::train(vec![mirror_candidate(), fullscan_candidate()]).unwrap();
         let shard = SortedData::new((0..4_096u64).collect()).unwrap();
-        let (pick, _) = advisor.score_shard(&shard, &AccessSnapshot::default()).unwrap();
+        let (pick, _) = advisor.score_shard(&shard).unwrap();
         assert_eq!(pick.scores.len(), 2);
         assert!(pick.scores.iter().all(|s| s.predicted_ns.is_finite()));
     }
@@ -792,13 +613,13 @@ mod tests {
     /// burst) must not talk the runoff out of measuring a competitor.
     #[test]
     fn non_positive_prediction_cannot_empty_the_runoff() {
-        let flat = |w0| CandidateWeights { w0, w1: 0.0, w2: 0.0, build_ns_per_key: 0.0 };
+        let flat = |w0| CandidateWeights { w0, w1: 0.0, w2: 0.0 };
         let advisor = Advisor {
             candidates: vec![scan_candidate(), exact_candidate(), fullscan_candidate()],
             weights: vec![flat(-40.0), flat(25.0), flat(1e6)],
         };
         let shard = SortedData::new((0..4_096u64).map(|i| i * 5).collect()).unwrap();
-        let (pick, _) = advisor.score_shard(&shard, &AccessSnapshot::default()).unwrap();
+        let (pick, _) = advisor.score_shard(&shard).unwrap();
         let entrants: Vec<&str> = pick
             .scores
             .iter()
@@ -813,54 +634,6 @@ mod tests {
     #[test]
     fn empty_candidate_list_is_rejected() {
         assert!(Advisor::<u64>::train(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn hot_keys_bias_the_shard_sample() {
-        let shard = SortedData::new((0..10_000u64).collect()).unwrap();
-        let obs = AccessSnapshot {
-            mix: AccessMix::default(),
-            hot_keys: vec![(42, 100), (99_999, 50)], // second is out of range
-        };
-        let probes = shard_sample(&shard, &obs);
-        let hot_hits = probes.iter().filter(|&&k| k == 42).count();
-        assert!(hot_hits >= 1, "in-range hot key must join the sample");
-        assert!(!probes.contains(&99_999), "out-of-range hot key must not");
-        assert!(hot_hits <= 8, "weight is clamped");
-    }
-
-    #[test]
-    fn write_heavy_mix_charges_build_time() {
-        let advisor = Advisor::train(vec![mirror_candidate()]).unwrap();
-        let shard = SortedData::new((0..8_192u64).collect()).unwrap();
-        let read_only = AccessSnapshot::default();
-        let write_heavy = AccessSnapshot {
-            mix: AccessMix { reads: 10, writes: 1_000, removes: 0 },
-            hot_keys: Vec::new(),
-        };
-        let (cold, _) = advisor.score_shard(&shard, &read_only).unwrap();
-        let (hot, _) = advisor.score_shard(&shard, &write_heavy).unwrap();
-        assert!(
-            hot.predicted_ns >= cold.predicted_ns,
-            "write-heavy mix must not make a candidate look cheaper: {} vs {}",
-            hot.predicted_ns,
-            cold.predicted_ns
-        );
-    }
-
-    #[test]
-    fn hub_round_trips_snapshot_and_picks() {
-        let hub = ObservabilityHub::<u64>::new();
-        assert_eq!(hub.retunes(), 0);
-        hub.publish_mix(AccessMix { reads: 5, writes: 2, removes: 1 });
-        hub.publish_hot_keys(vec![(7, 3)]);
-        let snap = hub.snapshot();
-        assert_eq!(snap.mix.reads, 5);
-        assert_eq!(snap.hot_keys, vec![(7, 3)]);
-        assert!((snap.mix.write_fraction() - 3.0 / 8.0).abs() < 1e-12);
-        hub.record_picks(vec!["rmi".into(), "pgm".into()]);
-        assert_eq!(hub.last_picks(), vec!["rmi".to_string(), "pgm".to_string()]);
-        assert_eq!(hub.retunes(), 1);
     }
 
     #[test]

@@ -310,11 +310,6 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
         self.negative
     }
 
-    /// Unwrap back into the inner engine.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-
     /// Total entry budget across all stripes.
     pub fn capacity(&self) -> usize {
         self.stripe_cap * self.stripes.len()
@@ -374,26 +369,6 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// The hot-key histogram: every cached key with its CLOCK weight (2
-    /// when its reference bit is set, 1 otherwise, so a just-filled entry
-    /// still counts once), hottest first, truncated to `cap`. What
-    /// survives the CLOCK sweep *is* the recency signal — the index
-    /// advisor folds this histogram into its per-shard probe samples so
-    /// bound statistics reflect the traffic actually served. Stripes are
-    /// locked one at a time; the result is a point-in-time approximation,
-    /// not an atomic snapshot.
-    pub fn hot_keys(&self, cap: usize) -> Vec<(K, u64)> {
-        let mut out: Vec<(K, u64)> = Vec::new();
-        for stripe in &self.stripes {
-            let st = stripe.lock().expect("cache stripe");
-            out.extend(st.slots.iter().map(|slot| (slot.key, slot.referenced as u64 + 1)));
-        }
-        // Hottest first; ties broken by key so the histogram is stable.
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.truncate(cap);
-        out
     }
 
     #[inline]
@@ -516,17 +491,6 @@ impl<K: Key> CachedEngine<K, WriteBehindEngine<K>> {
         let prev = self.inner.remove(key);
         self.invalidate(key);
         prev
-    }
-
-    /// Retune the full serving stack: publish this cache's hot-key
-    /// histogram into `hub`, then ask the inner [`WriteBehindEngine`] to
-    /// publish its operation mix and rebuild its base (see
-    /// [`WriteBehindEngine::retune`]). No invalidation is needed — the
-    /// rebuild's generation swap leaves the visible mapping unchanged, so
-    /// every cached entry stays exact.
-    pub fn retune(&self, hub: &crate::advisor::ObservabilityHub<K>) {
-        hub.publish_hot_keys(self.hot_keys(1_024));
-        self.inner.retune(hub);
     }
 
     /// Pin a consistent point-in-time view of the inner
@@ -929,68 +893,5 @@ mod tests {
         assert!(std::mem::size_of::<Slot<u64>>() <= 32);
         e.reset_stats();
         assert_eq!(e.hits() + e.misses(), 0);
-    }
-
-    #[test]
-    fn hot_keys_ranks_reprobed_entries_first() {
-        let e = engine(1_000, 64, 4);
-        for k in 0..10u64 {
-            e.get(k * 2); // fill: unreferenced → histogram count 1
-        }
-        e.get(8); // re-probe: referenced → histogram count 2
-        let hot = e.hot_keys(usize::MAX);
-        assert_eq!(hot.len(), 10, "every cached entry appears");
-        assert_eq!(hot[0], (8, 2), "the reprobed key leads the histogram");
-        assert!(hot[1..].iter().all(|&(_, w)| w == 1));
-        // Ties sort by key so the histogram is deterministic.
-        let tail: Vec<u64> = hot[1..].iter().map(|&(k, _)| k).collect();
-        let mut sorted = tail.clone();
-        sorted.sort_unstable();
-        assert_eq!(tail, sorted);
-        assert_eq!(e.hot_keys(3).len(), 3, "cap truncates");
-    }
-
-    #[test]
-    fn retune_publishes_observability_and_keeps_the_mapping() {
-        use crate::advisor::ObservabilityHub;
-        use crate::testutil::VecMap;
-        use crate::writebehind::{MergeMode, WriteBehindEngine};
-        use std::collections::BTreeMap;
-
-        let keys: Vec<u64> = (0..200u64).map(|i| i * 3).collect();
-        let data = Arc::new(SortedData::new(keys.clone()).unwrap());
-        let mut oracle: BTreeMap<u64, u64> = keys
-            .iter()
-            .map(|&k| (k, data.payloads()[data.keys().binary_search(&k).unwrap()]))
-            .collect();
-        let base: crate::writebehind::BaseFactory<u64> = Arc::new(|d: Arc<SortedData<u64>>| {
-            Ok(Box::new(StaticEngine::new(MirrorIndex::over(&d), d)) as Box<dyn QueryEngine<u64>>)
-        });
-        let delta: crate::writebehind::DeltaFactory<u64> = Arc::new(|| {
-            Box::new(VecMap::new()) as Box<dyn crate::dynamic::DynamicOrderedIndex<u64>>
-        });
-        let wb = WriteBehindEngine::new(data, base, delta, 1_000, MergeMode::Sync).unwrap();
-        let cached = CachedEngine::new(wb, 64, 4).unwrap();
-
-        // Churn: writes through the cache, reads to warm the hot set.
-        for k in 0..50u64 {
-            cached.insert(k * 3 + 1, k);
-            oracle.insert(k * 3 + 1, k);
-        }
-        for k in 0..30u64 {
-            cached.get(k * 3);
-        }
-
-        let hub = ObservabilityHub::<u64>::default();
-        cached.retune(&hub);
-
-        let obs = hub.snapshot();
-        assert!(!obs.hot_keys.is_empty(), "cache published its hot-key histogram");
-        assert_eq!(obs.mix.writes, 50);
-        assert!(obs.mix.reads >= 30);
-        // Generation-swap invariant: retune never changes the visible mapping.
-        for (&k, &v) in &oracle {
-            assert_eq!(cached.get(k), Some(v), "key {k} after retune");
-        }
     }
 }

@@ -667,11 +667,6 @@ impl<K: Key, D: DynamicOrderedIndex<K>> DynamicEngine<K, D> {
     pub fn inner_mut(&mut self) -> &mut D {
         &mut self.index
     }
-
-    /// Unwrap back into the dynamic index.
-    pub fn into_inner(self) -> D {
-        self.index
-    }
 }
 
 impl<K: Key, D: DynamicOrderedIndex<K>> QueryEngine<K> for DynamicEngine<K, D> {

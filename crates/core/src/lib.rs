@@ -55,8 +55,8 @@
 //!   lock-free latency recording via [`hist::LatencyHistogram`].
 //! * [`advisor`] — the self-tuning index advisor: per-shard candidate
 //!   scoring with a trained-once linear cost model over fig12-style bound
-//!   statistics plus access observability (hot-key histogram, operation
-//!   mix), emitting heterogeneous [`ShardedEngine`]s and re-advising at
+//!   statistics of the shard's data, emitting heterogeneous
+//!   [`ShardedEngine`]s and re-advising at
 //!   every write-behind base rebuild through an advisor-driven base
 //!   factory.
 //! * [`testutil`] — minimal reference implementations of both interfaces
@@ -90,7 +90,7 @@ pub mod trace;
 pub mod util;
 pub mod writebehind;
 
-pub use advisor::{AccessMix, AccessSnapshot, AdvisedPlan, Advisor, ObservabilityHub, ShardPick};
+pub use advisor::{AdvisedPlan, Advisor, ShardPick};
 pub use bound::SearchBound;
 pub use builder::IndexBuilder;
 pub use cache::CachedEngine;

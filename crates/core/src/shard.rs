@@ -97,7 +97,7 @@ pub fn partition_points<K: Key>(keys: &[K], shards: usize) -> Vec<usize> {
 /// .unwrap();
 /// assert_eq!(engine.num_shards(), 4);
 /// assert_eq!(engine.fences(), &[250, 500, 750]);
-/// assert_eq!(engine.get(251), engine.shard_engines()[1].get(251)); // routed
+/// assert_eq!(engine.get(251), Some(data.payload_sum_at(251))); // routed
 /// assert_eq!(engine.range(249, 252).len(), 3); // stitched across the cut
 /// ```
 pub struct ShardedEngine<K: Key> {
@@ -174,11 +174,6 @@ impl<K: Key> ShardedEngine<K> {
     /// The fence keys: the smallest key of every shard but the first.
     pub fn fences(&self) -> &[K] {
         &self.fences
-    }
-
-    /// The inner engines, in key order.
-    pub fn shard_engines(&self) -> &[Box<dyn QueryEngine<K>>] {
-        &self.shards
     }
 
     /// The shard whose key range contains `key`.

@@ -115,7 +115,6 @@
 //! [`PinnedView::fingerprint`] folds the whole visible mapping into one
 //! root hash for replica comparison and run dedupe.
 
-use crate::advisor::{AccessMix, ObservabilityHub};
 use crate::data::SortedData;
 use crate::dynamic::DynamicOrderedIndex;
 use crate::engine::QueryEngine;
@@ -1042,13 +1041,6 @@ struct Shared<K: Key> {
     /// compactions — the merge write volume; `merged_entries / merges` is
     /// the per-cycle merged volume the leveled policy bounds.
     merged_entries: AtomicU64,
-    /// Point-read keys served (`get` plus every `get_batch` key) — the
-    /// read side of the access mix the index advisor consumes.
-    reads: AtomicU64,
-    /// Inserts/overwrites absorbed by the delta.
-    writes: AtomicU64,
-    /// Removes (tombstone writes, including no-op removes of absent keys).
-    removes: AtomicU64,
     /// The snapshot spool, when persistence was requested at construction.
     spool: Option<Spool>,
     /// Outstanding [`PinnedView`] handles. Purely observability: the pins
@@ -1652,9 +1644,6 @@ impl<K: Key> WriteBehindEngine<K> {
                 stack_probes: AtomicU64::new(0),
                 filter_skips: AtomicU64::new(0),
                 merged_entries: AtomicU64::new(0),
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
-                removes: AtomicU64::new(0),
                 spool,
                 pins: Arc::new(AtomicUsize::new(0)),
                 visible_len: AtomicUsize::new(visible),
@@ -1676,7 +1665,6 @@ impl<K: Key> WriteBehindEngine<K> {
     /// [`MergeMode::Background`] (at most one in flight; further writes
     /// keep landing in the fresh active delta meanwhile).
     pub fn insert(&self, key: K, payload: u64) -> Option<u64> {
-        self.shared.writes.fetch_add(1, Ordering::Relaxed);
         self.write(key, Some(payload))
     }
 
@@ -1688,7 +1676,6 @@ impl<K: Key> WriteBehindEngine<K> {
     /// visible returns `None` and writes nothing (so remove-heavy streams
     /// of absent keys cannot grow the delta).
     pub fn remove(&self, key: K) -> Option<u64> {
-        self.shared.removes.fetch_add(1, Ordering::Relaxed);
         self.write(key, None)
     }
 
@@ -1750,30 +1737,6 @@ impl<K: Key> WriteBehindEngine<K> {
                 *slot = Some(std::thread::spawn(move || shared.run_merge()));
             }
         }
-    }
-
-    /// The cumulative read/write/remove operation mix served since
-    /// construction — the workload half of the access observability the
-    /// index advisor consumes at rebuild time.
-    pub fn access_mix(&self) -> AccessMix {
-        AccessMix {
-            reads: self.shared.reads.load(Ordering::Relaxed),
-            writes: self.shared.writes.load(Ordering::Relaxed),
-            removes: self.shared.removes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Retune now: publish this engine's operation mix into `hub`, force a
-    /// base rebuild, and wait for it to complete. With an advisor-driven
-    /// [`BaseFactory`] (see
-    /// [`Advisor::base_factory`](crate::advisor::Advisor::base_factory))
-    /// the rebuild re-scores every candidate per shard under the hub's
-    /// current snapshot. The generation swap keeps the retune invisible:
-    /// the mapping served before and after is identical.
-    pub fn retune(&self, hub: &ObservabilityHub<K>) {
-        hub.publish_mix(self.access_mix());
-        self.force_merge();
-        self.wait_for_merges();
     }
 
     /// Block until no merge is in flight (joins the background worker).
@@ -1890,7 +1853,6 @@ impl<K: Key> WriteBehindEngine<K> {
         if keys.is_empty() {
             return;
         }
-        self.shared.reads.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let (pending, slots, generation) = {
             let st = self.shared.read();
             let (pending, slots) = split_by_delta(keys, out, |k| st.delta_state(k));
@@ -1984,8 +1946,8 @@ impl<K: Key> WriteBehindEngine<K> {
     /// frozen), taken under a single read-lock acquisition. Every read
     /// through the returned [`PinnedView`] — point, batch, ordered —
     /// answers from exactly the mapping visible at this instant;
-    /// concurrent inserts, removes, merges, compactions, and retunes
-    /// publish *newer* generations the pin never observes. The pin costs
+    /// concurrent inserts, removes, merges, and compactions publish
+    /// *newer* generations the pin never observes. The pin costs
     /// `O(delta)` to take (the immutable tiers are shared, not copied) and
     /// holds its generation's memory alive until dropped — the same
     /// refcount rule as any in-flight reader.
@@ -2093,7 +2055,6 @@ impl<K: Key> QueryEngine<K> for WriteBehindEngine<K> {
     /// whose key range prunes the probe or whose filter proves the key
     /// absent), then the base — all probed outside the state lock.
     fn get(&self, key: K) -> Option<u64> {
-        self.shared.reads.fetch_add(1, Ordering::Relaxed);
         let generation = {
             let st = self.shared.read();
             if let Some(state) = st.delta_state(key) {
@@ -2194,10 +2155,9 @@ impl Drop for PinGuard {
 /// pin. The pinned generation's memory is reclaimed when the last clone
 /// drops; [`WriteBehindEngine::active_pins`] counts handles outstanding.
 ///
-/// Reads through a pin are *not* recorded in the engine's access
-/// observability (`access_mix`, read-amp counters): a pin may outlive its
-/// engine, and historical reads would skew the advisor's picture of the
-/// live workload anyway.
+/// Reads through a pin are *not* recorded in the engine's read-amp
+/// counters: a pin may outlive its engine, and historical reads would skew
+/// the live workload's probes-per-lookup anyway.
 pub struct PinnedView<K: Key> {
     generation: Arc<Generation<K>>,
     /// Sorted, unique shadow entries: the delta (active merged over

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example cached_serving`
 
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::cache::CachedEngine;
 use sosd::core::dynamic::Op;
 use sosd::core::{MergeMode, QueryEngine, SearchStrategy, SortedData};
@@ -82,7 +82,6 @@ fn main() {
     let wb_spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Rmi.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 4_096,
         policy: sosd::core::MergePolicy::Flat,
     };

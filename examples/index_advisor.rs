@@ -8,14 +8,13 @@
 //! one sorted array), trains a [`sosd::core::Advisor`] over a candidate
 //! pool, and shows it picking *different* families for different shards.
 //! It then wires the full self-tuning serving stack — advisor-driven
-//! write-behind base under a hot-key cache — drives skewed traffic at it,
-//! and retunes: the rebuild re-advises from the observed access mix and
-//! hot-key histogram while the visible mapping stays untouched.
+//! write-behind base under a hot-key cache — drives writes and skewed reads
+//! at it, and forces a merge: the base rebuild re-advises per shard of the
+//! merged data while the visible mapping stays untouched.
 //!
 //! Run with: `cargo run --release --example index_advisor`
 
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
-use sosd::core::advisor::ObservabilityHub;
+use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::util::splitmix64;
 use sosd::core::{CachedEngine, MergeMode, QueryEngine, SortedData};
 use std::sync::Arc;
@@ -54,8 +53,8 @@ fn main() {
 
     // 2. Advise: score every candidate per key-range shard, serve each
     //    shard from its winner.
-    let plan = advisor.advise(&data, 6, &Default::default()).expect("advisor plans");
-    println!("\nper-shard picks (cold — no traffic observed yet):");
+    let plan = advisor.advise(&data, 6).expect("advisor plans");
+    println!("\nper-shard picks:");
     for (i, pick) in plan.picks.iter().enumerate() {
         let runner_up = pick.scores.get(1).map(|s| s.label.as_str()).unwrap_or("-");
         println!(
@@ -68,11 +67,9 @@ fn main() {
 
     // 3. The self-tuning serving stack: the same advisor drives the
     //    write-behind base factory (re-advising at every rebuild), with a
-    //    hot-key cache in front publishing its histogram into the hub.
-    let hub = Arc::new(ObservabilityHub::<u64>::new());
-    let wb = spec
-        .advised_writebehind_engine(&data, DeltaKind::BTree, 1 << 20, MergeMode::Sync, &hub)
-        .expect("stack builds");
+    //    hot-key cache in front.
+    let wb =
+        spec.advised_writebehind_engine(&data, 1 << 20, MergeMode::Sync).expect("stack builds");
     let cached = CachedEngine::new(wb, 4_096, 8).expect("cache wraps");
 
     // Drive write-heavy churn plus a skewed read mix concentrated on the
@@ -85,19 +82,19 @@ fn main() {
         cached.get(hot);
     }
     println!(
-        "\nobserved traffic: {:?}, cache hit rate {:.0}%",
-        cached.inner().access_mix(),
+        "\nbuffered {} writes in the delta, cache hit rate {:.0}%",
+        cached.inner().delta_len(),
         cached.hit_rate() * 100.0
     );
 
-    // 4. Retune: publish the hot-key histogram and operation mix, rebuild
-    //    the base, re-advise per shard of the *merged* data.
+    // 4. Force a merge: rebuild the base and re-advise per shard of the
+    //    *merged* data.
     let before = cached.get((2u64 << 40) + 8);
-    cached.retune(&hub);
-    assert_eq!(cached.get((2u64 << 40) + 8), before, "retune never changes the mapping");
-    println!("\nper-shard picks after retune #{} (merged data + observed mix):", hub.retunes());
-    for (i, label) in hub.last_picks().iter().enumerate() {
-        println!("  shard {i}: {label}");
-    }
-    println!("\nretune done; the generation swap kept every visible key identical.");
+    cached.inner().force_merge();
+    assert_eq!(cached.get((2u64 << 40) + 8), before, "a rebuild never changes the mapping");
+    println!(
+        "\nmerge #{} re-advised a base of {} entries; the generation swap kept every visible key identical.",
+        cached.inner().merges_completed(),
+        cached.inner().base_len()
+    );
 }

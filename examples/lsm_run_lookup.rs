@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example lsm_run_lookup`
 
-use sosd::bench::registry::{DeltaKind, EngineSpec, IndexParams, IndexSpec};
+use sosd::bench::registry::{EngineSpec, IndexParams, IndexSpec};
 use sosd::core::{MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData};
 use sosd::datasets::{registry::generate_u64, DatasetId};
 use std::sync::Arc;
@@ -33,7 +33,6 @@ fn main() {
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: IndexSpec::new(IndexParams::Rs { eps: 32, radix_bits: 16 }),
-        delta: DeltaKind::BTree,
         merge_threshold: 8_000,
         policy: MergePolicy::leveled(4, 2),
     };

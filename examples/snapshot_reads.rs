@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example snapshot_reads`
 
-use sosd::bench::registry::{DeltaKind, Family};
+use sosd::bench::registry::{btree_delta, Family};
 use sosd::core::writebehind::BaseFactory;
 use sosd::core::{
     MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData, StaticEngine,
@@ -28,7 +28,7 @@ fn build(policy: MergePolicy) -> WriteBehindEngine<u64> {
     WriteBehindEngine::with_policy(
         data,
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         4_096,
         MergeMode::Sync,
         policy,
@@ -127,7 +127,7 @@ fn main() {
     let spooled = WriteBehindEngine::with_spool(
         data,
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         2_048,
         MergeMode::Sync,
         MergePolicy::leveled(4, 2),

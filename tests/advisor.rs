@@ -1,11 +1,11 @@
 //! Advisor integration tests: on synthetically mixed datasets the
 //! per-shard picks must score close to the exhaustive measured best, and
-//! retuning a live serving stack under churn must never change the
+//! re-advising a live serving stack under churn must never change the
 //! visible mapping (the generation-swap invariant).
 
 use proptest::prelude::*;
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
-use sosd::core::advisor::{advisor_partitions, measure_candidate_ns, ObservabilityHub};
+use sosd::bench::registry::{EngineSpec, Family};
+use sosd::core::advisor::{advisor_partitions, measure_candidate_ns};
 use sosd::core::util::splitmix64;
 use sosd::core::{CachedEngine, MergeMode, QueryEngine, SortedData};
 use std::collections::BTreeMap;
@@ -81,7 +81,7 @@ proptest! {
         let mut failure = String::new();
         for _ in 0..=RETRIES {
             let advisor = spec.advisor::<u64>().expect("pool trains");
-            let plan = advisor.advise(&data, SHARDS, &Default::default()).expect("advisor plans");
+            let plan = advisor.advise(&data, SHARDS).expect("advisor plans");
             prop_assert_eq!(plan.picks.len(), parts.len());
             failure.clear();
             for ((pick, part), mins) in plan.picks.iter().zip(&parts).zip(&mut mins) {
@@ -112,9 +112,10 @@ proptest! {
 
 /// The generation-swap invariant, end to end: a full serving stack
 /// (advisor-driven write-behind base under a hot-key cache) is driven
-/// with interleaved inserts, removes, and reads; after every retune the
-/// entire visible mapping must equal a BTreeMap oracle's — a retune may
-/// swap every per-shard index, but never an answer.
+/// with interleaved inserts, removes, and reads; after every forced merge
+/// (each re-advises the merged base) the entire visible mapping must equal
+/// a BTreeMap oracle's — a re-pick may swap every per-shard index, but
+/// never an answer.
 #[test]
 fn retuning_under_churn_never_changes_the_mapping() {
     let data = mixed_dataset(30_000, 7, 0);
@@ -126,13 +127,10 @@ fn retuning_under_churn_never_changes_the_mapping() {
         *oracle.entry(k).or_insert(0) = data.payload_sum_at(k);
     }
 
-    let hub = Arc::new(ObservabilityHub::<u64>::new());
     let spec = auto_spec(5);
-    let wb = spec
-        .advised_writebehind_engine(&data, DeltaKind::BTree, 1 << 14, MergeMode::Sync, &hub)
-        .expect("stack builds");
+    let wb =
+        spec.advised_writebehind_engine(&data, 1 << 14, MergeMode::Sync).expect("stack builds");
     let engine = CachedEngine::new(wb, 2_048, 8).expect("cache wraps");
-    assert_eq!(hub.retunes(), 1, "initial build advises once");
 
     let probe_keys: Vec<u64> = (0..data.len()).step_by(61).map(|i| data.key(i)).collect();
     let check = |tag: &str, oracle: &BTreeMap<u64, u64>| {
@@ -145,8 +143,8 @@ fn retuning_under_churn_never_changes_the_mapping() {
     for round in 0..4u64 {
         // Churn: fresh inserts into a new key range, overwrites of existing
         // keys, removes of base keys — enough buffered writes to force
-        // threshold merges (each of which re-advises) plus one explicit
-        // retune per round.
+        // threshold merges (each of which re-advises) plus one forced
+        // merge per round.
         for i in 0..3_000u64 {
             let k = (10u64 << 40) + round * 10_000 + i;
             engine.insert(k, round * 1_000 + i);
@@ -160,10 +158,9 @@ fn retuning_under_churn_never_changes_the_mapping() {
         for &k in probe_keys.iter().take(200) {
             engine.get(k);
         }
-        let retunes_before = hub.retunes();
-        engine.retune(&hub);
-        assert!(hub.retunes() > retunes_before, "explicit retune re-advises");
-        assert!(!hub.last_picks().is_empty(), "picks are published");
-        check(&format!("after retune round {round}"), &oracle);
+        let merges_before = engine.inner().merges_completed();
+        engine.inner().force_merge();
+        assert!(engine.inner().merges_completed() > merges_before, "forced merge re-advises");
+        check(&format!("after forced merge round {round}"), &oracle);
     }
 }

@@ -6,7 +6,7 @@
 //! hit is ever served while background merges swap generations.
 
 use proptest::prelude::*;
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::cache::CachedEngine;
 use sosd::core::{
     MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData, WriteBehindEngine,
@@ -28,7 +28,6 @@ fn build(
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: threshold,
         policy: MergePolicy::Flat,
     };
@@ -148,7 +147,6 @@ fn removes_invalidate_cached_hits_over_writebehind() {
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 64,
         policy: MergePolicy::leveled(2, 2),
     };
@@ -202,7 +200,6 @@ fn negative_entries_are_invalidated_by_writes_over_writebehind() {
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 64,
         policy: MergePolicy::Flat,
     };
@@ -292,7 +289,6 @@ fn concurrent_reads_never_go_backwards_under_merges() {
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::BTree.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 150,
         policy: MergePolicy::Flat,
     };

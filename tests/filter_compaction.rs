@@ -7,7 +7,7 @@
 //! of a retired filter kind — fails loudly instead of mis-answering.
 
 use proptest::prelude::*;
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd::bench::registry::{btree_delta, EngineSpec, Family};
 use sosd::core::store::page_checksum;
 use sosd::core::writebehind::BaseFactory;
 use sosd::core::{
@@ -32,7 +32,6 @@ fn build_with_policy(
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: threshold,
         policy,
     };
@@ -267,7 +266,7 @@ fn spool_reopen_reproduces_answers_and_filter_skips() {
     let engine = WriteBehindEngine::with_spool(
         Arc::clone(&data),
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         64,
         MergeMode::Sync,
         policy,
@@ -308,7 +307,7 @@ fn spool_reopen_reproduces_answers_and_filter_skips() {
     let reopened = WriteBehindEngine::open_spool(
         &tmp.0,
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         64,
         MergeMode::Sync,
         policy,
@@ -333,7 +332,7 @@ fn reopen_error_after(tag: &str, damage: impl Fn(&mut Vec<u8>)) -> String {
     let engine = WriteBehindEngine::with_spool(
         Arc::clone(&data),
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         64,
         MergeMode::Sync,
         policy,
@@ -367,7 +366,7 @@ fn reopen_error_after(tag: &str, damage: impl Fn(&mut Vec<u8>)) -> String {
     match WriteBehindEngine::open_spool(
         &tmp.0,
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         64,
         MergeMode::Sync,
         policy,

@@ -7,7 +7,7 @@
 //! exceeds `queue_cap`).
 
 use proptest::prelude::*;
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::serve::{oracle_checksum, FastProbe};
 use sosd::core::{
     CachedEngine, MergeMode, MergePolicy, QueryEngine, RequestScheduler, SchedulerConfig,
@@ -30,7 +30,6 @@ fn build_writebehind(
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         // Effectively unbounded: removes stay live as delta tombstones, the
         // case the scheduler must relay as None rather than a stale payload.
         merge_threshold: 1 << 40,

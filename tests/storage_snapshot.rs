@@ -6,7 +6,7 @@
 //! and loud failure on truncated or bit-flipped snapshot files.
 
 use proptest::prelude::*;
-use sosd::bench::registry::{DeltaKind, Family};
+use sosd::bench::registry::{btree_delta, Family};
 use sosd::core::writebehind::BaseFactory;
 use sosd::core::{
     write_snapshot, BlockStore, CachedEngine, FileStore, MemStore, MergeMode, MergePolicy,
@@ -248,7 +248,7 @@ fn leveled_spool_cold_reopen_preserves_tombstones() {
     let engine = WriteBehindEngine::with_spool(
         Arc::clone(&data),
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         64,
         MergeMode::Sync,
         policy,
@@ -278,7 +278,7 @@ fn leveled_spool_cold_reopen_preserves_tombstones() {
     let reopened = WriteBehindEngine::open_spool(
         &tmp.0,
         base_factory(),
-        DeltaKind::BTree.factory(),
+        btree_delta(),
         64,
         MergeMode::Sync,
         policy,

@@ -7,7 +7,7 @@
 //! where drained delta entries are invisible.
 
 use proptest::prelude::*;
-use sosd::bench::registry::{DeltaKind, EngineSpec, Family};
+use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::{
     MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData, WriteBehindEngine,
 };
@@ -39,7 +39,6 @@ fn build_with_policy(
     let spec = EngineSpec::WriteBehind {
         shards,
         inner: Family::Pgm.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: threshold,
         policy,
     };
@@ -260,6 +259,11 @@ proptest! {
                 engine.wait_for_merges();
             }
         }
+        // An explicit drain: inserts made while the last merge ran are
+        // still in the active delta, and `force_merge` declined them while
+        // that merge was in flight.
+        engine.wait_for_merges();
+        engine.force_merge();
         engine.wait_for_merges();
         prop_assert!(engine.merges_completed() >= 3);
         prop_assert_eq!(engine.delta_len(), 0);
@@ -286,7 +290,6 @@ fn batched_reads_see_no_torn_state_across_merge_swaps() {
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::BTree.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 200,
         policy: MergePolicy::leveled(3, 2),
     };
@@ -377,7 +380,6 @@ fn filtered_reads_survive_background_compactions() {
     let spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::BTree.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 200,
         policy: MergePolicy::leveled(3, 2),
     };
@@ -480,7 +482,6 @@ fn boxed_writebehind_engines_are_first_class() {
     let spec = EngineSpec::WriteBehind {
         shards: 2,
         inner: Family::Rmi.default_spec::<u64>(),
-        delta: DeltaKind::BTree,
         merge_threshold: 1_000,
         policy: MergePolicy::Flat,
     };
