@@ -5,15 +5,17 @@
 //! extension stress-tests that finding's constructive consequence: on
 //! datasets that *mix* distributions (a linear ramp, a duplicate-heavy
 //! run, and a uniform-random segment stitched into one sorted array), a
-//! [`sosd_core::advisor::Advisor`] that scores a candidate pool per
-//! key-range shard should match the best fixed single family — without
-//! being told which one that is — by picking different winners for
-//! different shards.
+//! [`sosd_core::advisor::Advisor`] that times every candidate in a pool
+//! per key-range shard should match the best fixed single family —
+//! without being told which one that is — by picking different winners
+//! for different shards.
 //!
 //! Measured per mixed dataset: every fixed family in the candidate pool
 //! served as a homogeneous sharded engine, plus the advisor's auto-tuned
 //! heterogeneous engine (same shard count, same candidate pool), with the
-//! advisor's per-shard pick labels reported alongside.
+//! advisor's per-shard pick labels reported alongside. The auto-tuned
+//! row's `build_ms` is the whole advise: every candidate built and timed
+//! on every shard.
 //!
 //! Self-gates (loud failure, no silent drift):
 //! * every engine's payload-sum checksum must match the in-RAM data;
@@ -137,14 +139,10 @@ fn run(args: &Args) -> Report {
         shards: SHARDS,
         candidates: POOL.iter().map(|f| f.default_spec::<u64>()).collect(),
     };
-    // Train once — the cost model is distribution-independent; only the
-    // per-shard features change across datasets.
-    let t = Instant::now();
-    let advisor = auto_spec.advisor::<u64>().expect("candidate pool trains");
+    let advisor = auto_spec.advisor::<u64>().expect("candidate pool is non-empty");
     println!(
-        "ext11: trained advisor over {:?} in {:.0}ms",
-        POOL.iter().map(|f| f.name()).collect::<Vec<_>>(),
-        t.elapsed().as_secs_f64() * 1e3
+        "ext11: advisor times {:?} on every shard",
+        POOL.iter().map(|f| f.name()).collect::<Vec<_>>()
     );
 
     for ds in datasets(args.n, args.seed) {

@@ -17,19 +17,21 @@
 //!
 //! ```text
 //! predicted_ns = model_ns                     (index evaluation, in RAM)
-//!              + 2 * read_latency_ns          (key-window run + payload run)
-//!              + (window_pages + 1) * page_transfer_ns    (bandwidth)
+//!              + read_latency_ns              (the payload run's seek)
+//!              + read_cost_ns((window_pages + 1) * page_size)
+//!                                 (the key-window run's seek + every byte)
 //!              + mean_log2 * step_ns          (last-mile search, in RAM)
 //! ```
 //!
-//! The charge terms mirror [`sosd_core::ProfiledStore`] exactly — one
-//! fixed latency per contiguous ascending page run, bandwidth per byte —
-//! which is what keeps predictions on the same scale as measurements
-//! (`ext10_storage` gates the designer's pick within a small factor of
-//! the best measured configuration per profile).
+//! The device terms go through [`StorageProfile::read_cost_ns`], the same
+//! curve [`sosd_core::ProfiledStore`] charges — one fixed latency per
+//! contiguous ascending page run, bandwidth per byte — which is what keeps
+//! predictions on the same scale as measurements (`ext10_storage` gates
+//! the designer's pick within a small factor of the best measured
+//! configuration per profile).
 
 use crate::registry::{Family, IndexSpec};
-use sosd_core::stats::log2_error_stats;
+use sosd_core::stats::{log2_error_stats, stride_sample};
 use sosd_core::{BuildError, Key, SortedData, StorageProfile};
 use std::time::Instant;
 
@@ -122,7 +124,7 @@ impl StoreDesigner {
         data: &SortedData<K>,
         profile: StorageProfile,
     ) -> Result<Vec<CandidateCost>, BuildError> {
-        let probes = probe_keys(data, MODEL_PROBES);
+        let probes = stride_sample(data, MODEL_PROBES);
         let mut out = Vec::new();
         for &family in &self.families {
             let spec = family.default_spec::<K>();
@@ -174,9 +176,9 @@ fn window_pages<K: Key>(mean_bound_len: f64, page_size: usize) -> f64 {
     mean_bound_len.max(1.0) / keys_per_page as f64 + 1.0
 }
 
-/// The closed-form cost shared with the module docs: model + two runs of
-/// device latency + bandwidth for the window and payload pages + the
-/// in-RAM last-mile search.
+/// The closed-form cost shared with the module docs: model + the key
+/// window and payload page runs priced on the profile's read-cost curve +
+/// the in-RAM last-mile search.
 fn predict_ns(
     model_ns: f64,
     mean_log2: f64,
@@ -184,24 +186,11 @@ fn predict_ns(
     page_size: usize,
     profile: StorageProfile,
 ) -> f64 {
-    let page_transfer_ns = if profile.bandwidth_mb_s == 0 {
-        0.0
-    } else {
-        page_size as f64 * 1000.0 / profile.bandwidth_mb_s as f64
-    };
+    let read_bytes = ((window_pages + 1.0) * page_size as f64) as usize;
     model_ns
-        + 2.0 * profile.read_latency_ns as f64
-        + (window_pages + 1.0) * page_transfer_ns
+        + profile.read_latency_ns as f64
+        + profile.read_cost_ns(read_bytes) as f64
         + mean_log2 * STEP_NS
-}
-
-/// Deterministic probe sample: up to `cap` keys spread evenly over the
-/// data (with an offset so probes are not all segment-aligned).
-fn probe_keys<K: Key>(data: &SortedData<K>, cap: usize) -> Vec<K> {
-    let n = data.len();
-    let count = cap.min(n).max(1);
-    let stride = n / count;
-    (0..count).map(|i| data.key((i * stride + stride / 2).min(n - 1))).collect()
 }
 
 /// Mean `search_bound` evaluation time over `probes`, nanoseconds.
@@ -291,7 +280,7 @@ mod tests {
         let tight = IndexSpec::new(crate::registry::IndexParams::Pgm { eps: 8, eps_internal: 4 });
         let wide =
             IndexSpec::new(crate::registry::IndexParams::Pgm { eps: 1024, eps_internal: 16 });
-        let probes = probe_keys(&data, 1024);
+        let probes = stride_sample(&data, 1024);
         let mut windows = Vec::new();
         for spec in [tight, wide] {
             let index = spec.builder::<u64>().build_boxed(&data).unwrap();
@@ -320,7 +309,7 @@ mod tests {
         let paged = Arc::new(PagedData::open(store).unwrap());
         let index = candidate.spec.builder::<u64>().build_boxed(&data).unwrap();
         let engine = PagedEngine::with_strategy(index, paged, SearchStrategy::Binary);
-        let lookups = probe_keys(&data, 400);
+        let lookups = stride_sample(&data, 400);
         let timing = time_lookups_batched(&engine, QueryEngine::get_batch, &lookups, 1, 1);
         let ratio = timing.ns_per_lookup / candidate.predicted_ns;
         // The injected latency dominates both sides; allow generous slack

@@ -11,7 +11,7 @@
 //! directly, partitioned behind a key-range [`ShardedEngine`], wrapped in a
 //! write-behind tier whose delta buffer is a B+Tree ([`btree_delta`]),
 //! fronted by a hot-key result cache over any of the above, or sharded with
-//! each shard's index picked by a trained [`Advisor`].
+//! each shard's index picked by an [`Advisor`] that times every candidate.
 //! [`EngineSpec::scheduler`] puts a [`RequestScheduler`] in front of any of
 //! them.
 
@@ -234,7 +234,7 @@ impl IndexSpec {
     }
 
     /// This spec as an advisor [`Candidate`]: the builder's label plus a
-    /// type-erased build closure, ready for [`Advisor::train`].
+    /// type-erased build closure, ready for [`Advisor::new`].
     pub fn candidate<K: Key>(&self) -> Candidate<K> {
         let spec = *self;
         Candidate::new(spec.label::<K>(), move |d: &SortedData<K>| {
@@ -275,8 +275,8 @@ pub fn btree_delta<K: Key>() -> DeltaFactory<K> {
 /// cache over any of them ([`EngineSpec::Cached`]).
 ///
 /// The self-tuning variant ([`EngineSpec::AutoTuned`]) names only the
-/// *candidate pool*; the per-shard winners are chosen at build time by a
-/// trained [`Advisor`] from each shard's key distribution.
+/// *candidate pool*; the per-shard winners are chosen at build time by an
+/// [`Advisor`] timing every candidate on each shard's data.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EngineSpec {
     /// Serve one index over the whole dataset (the shared-everything
@@ -323,8 +323,8 @@ pub enum EngineSpec {
         /// The engine the cache fronts.
         inner: Box<EngineSpec>,
     },
-    /// Self-tuning sharded serving: a trained [`Advisor`] scores every
-    /// candidate per key-range shard and serves each shard from its
+    /// Self-tuning sharded serving: an [`Advisor`] times every candidate
+    /// per key-range shard and serves each shard from its
     /// winner — a possibly heterogeneous [`ShardedEngine`] (the spec pins
     /// the candidate pool, not the outcome). Use
     /// [`EngineSpec::advised_writebehind_engine`] to put the same pool
@@ -395,19 +395,17 @@ impl EngineSpec {
         }
     }
 
-    /// Train an [`Advisor`] over this auto-tuned spec's candidate pool.
-    /// Training builds and times every candidate on a small synthetic grid
-    /// (tens of milliseconds); hold on to the advisor when advising more
-    /// than once. Non-auto-tuned specs are rejected.
+    /// An [`Advisor`] over this auto-tuned spec's candidate pool. It times
+    /// nothing until it advises. Non-auto-tuned specs are rejected.
     pub fn advisor<K: Key>(&self) -> Result<Advisor<K>, BuildError> {
         let EngineSpec::AutoTuned { candidates, .. } = self else {
             return Err(BuildError::InvalidConfig("advisor needs an autotuned spec".into()));
         };
-        Advisor::train(candidates.iter().map(IndexSpec::candidate).collect())
+        Advisor::new(candidates.iter().map(IndexSpec::candidate).collect())
     }
 
     /// Build the advised heterogeneous engine together with the per-shard
-    /// decisions that produced it (label, predicted cost, full score
+    /// decisions that produced it (label, measured cost, full score
     /// board). Non-auto-tuned specs are rejected.
     pub fn advised_plan<K: Key>(
         &self,

@@ -19,8 +19,9 @@
 //! * [`search`] — last-mile search functions, in plain and traced variants.
 //! * [`Tracer`] — the event sink used by the `sosd-perfsim` hardware-counter
 //!   simulator to observe memory reads, branches, and instruction counts.
-//! * [`stats`] — log2-error statistics, Pareto-front extraction, and the OLS
-//!   regression machinery used by the paper's Section 4.3 analysis.
+//! * [`stats`] — log2-error statistics, the stride probe sample, and
+//!   Pareto-front extraction; [`ols`] is the regression machinery used by
+//!   the paper's Section 4.3 analysis.
 //! * [`dynamic`] — the [`DynamicOrderedIndex`] interface for the updatable
 //!   structures of the paper's future-work section (ALEX, dynamic PGM,
 //!   FITing-Tree, dynamic B+Tree).
@@ -53,12 +54,11 @@
 //!   coalesces independently arriving point lookups into batched waves
 //!   over a worker pool, with shed-on-full admission control and
 //!   lock-free latency recording via [`hist::LatencyHistogram`].
-//! * [`advisor`] — the self-tuning index advisor: per-shard candidate
-//!   scoring with a trained-once linear cost model over fig12-style bound
-//!   statistics of the shard's data, emitting heterogeneous
-//!   [`ShardedEngine`]s and re-advising at
-//!   every write-behind base rebuild through an advisor-driven base
-//!   factory.
+//! * [`advisor`] — the self-tuning index advisor: builds and times every
+//!   candidate index on each shard's data and serves each shard from the
+//!   cheapest measurement, emitting heterogeneous [`ShardedEngine`]s and
+//!   re-advising at every write-behind base rebuild through an
+//!   advisor-driven base factory.
 //! * [`testutil`] — minimal reference implementations of both interfaces
 //!   for doctests and harness smoke checks.
 

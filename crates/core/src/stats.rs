@@ -1,5 +1,6 @@
-//! Index-quality statistics: the paper's log2-error metric (Figures 12/13)
-//! and Pareto-front extraction (Figure 7).
+//! Index-quality statistics: the paper's log2-error metric (Figures 12/13),
+//! the deterministic probe sample it and lookup timings are taken over, and
+//! Pareto-front extraction (Figure 7).
 
 use crate::data::SortedData;
 use crate::index::Index;
@@ -45,6 +46,15 @@ pub fn log2_error_stats<K: Key, I: Index<K> + ?Sized>(
     }
     let n = probes.len() as f64;
     Log2ErrorStats { mean_log2: sum_log2 / n, max_log2, mean_bound_len: sum_len / n }
+}
+
+/// Deterministic even-stride sample of up to `cap` of `data`'s keys, with
+/// a half-stride offset so the probes are never all segment-aligned.
+pub fn stride_sample<K: Key>(data: &SortedData<K>, cap: usize) -> Vec<K> {
+    let n = data.len();
+    let count = cap.min(n).max(1);
+    let stride = n / count;
+    (0..count).map(|i| data.key((i * stride + stride / 2).min(n - 1))).collect()
 }
 
 /// Indices of the Pareto-optimal points when minimizing both coordinates

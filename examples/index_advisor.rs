@@ -5,8 +5,9 @@
 //! everywhere: the right choice depends on the key distribution and the
 //! workload. This example builds a deliberately mixed dataset (a linear
 //! ramp, a duplicate-heavy run, and a uniform-random segment stitched into
-//! one sorted array), trains a [`sosd::core::Advisor`] over a candidate
-//! pool, and shows it picking *different* families for different shards.
+//! one sorted array), hands a candidate pool to a [`sosd::core::Advisor`],
+//! and shows it picking *different* families for different shards by
+//! timing every candidate on every shard.
 //! It then wires the full self-tuning serving stack — advisor-driven
 //! write-behind base under a hot-key cache — drives writes and skewed reads
 //! at it, and forces a merge: the base rebuild re-advises per shard of the
@@ -18,7 +19,6 @@ use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::util::splitmix64;
 use sosd::core::{CachedEngine, MergeMode, QueryEngine, SortedData};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One sorted array with three very different local shapes.
 fn mixed_dataset(n: usize) -> Arc<SortedData<u64>> {
@@ -35,11 +35,10 @@ fn mixed_dataset(n: usize) -> Arc<SortedData<u64>> {
 
 fn main() {
     let data = mixed_dataset(240_000);
-    println!("advising over a mixed dataset of {} keys\n", data.len());
+    println!("advising over a mixed dataset of {} keys", data.len());
 
-    // 1. Train the advisor once over a candidate pool. Training builds and
-    //    times every candidate on a small synthetic grid, then fits one
-    //    linear cost model per candidate; it never sees our dataset.
+    // 1. The advisor holds only the candidate pool; it times nothing until
+    //    it advises.
     let spec = EngineSpec::AutoTuned {
         shards: 6,
         candidates: [Family::Rmi, Family::Pgm, Family::Rbs, Family::Bs]
@@ -47,19 +46,21 @@ fn main() {
             .map(|f| f.default_spec::<u64>())
             .collect(),
     };
-    let t = Instant::now();
-    let advisor = Arc::new(spec.advisor::<u64>().expect("pool trains"));
-    println!("trained 4-candidate cost model in {:.0}ms", t.elapsed().as_secs_f64() * 1e3);
+    let advisor = spec.advisor::<u64>().expect("pool is non-empty");
 
-    // 2. Advise: score every candidate per key-range shard, serve each
-    //    shard from its winner.
+    // 2. Advise: build and time every candidate per key-range shard, serve
+    //    each shard from the cheapest measurement.
     let plan = advisor.advise(&data, 6).expect("advisor plans");
     println!("\nper-shard picks:");
     for (i, pick) in plan.picks.iter().enumerate() {
+        // Every candidate in this pool builds on every shard, so every one
+        // is measured, and the pick is the cheapest measurement.
+        assert!(pick.scores.iter().all(|s| s.measured_ns.is_finite()), "{pick:?}");
+        assert_eq!(pick.candidate, pick.scores[0].candidate, "{pick:?}");
         let runner_up = pick.scores.get(1).map(|s| s.label.as_str()).unwrap_or("-");
         println!(
-            "  shard {i}: {:<28} predicted {:>6.1} ns/lookup ({} keys; runner-up {})",
-            pick.label, pick.predicted_ns, pick.shard_len, runner_up
+            "  shard {i}: {:<28} measured {:>6.1} ns/lookup ({} keys; runner-up {})",
+            pick.label, pick.measured_ns, pick.shard_len, runner_up
         );
     }
     let probe = data.key(1_234);
