@@ -30,17 +30,18 @@
 //! them and exercise real merge (and compaction) cycles. Background-mode
 //! rows include the drain of any merge still in flight when the stream
 //! ends (triggered work is billed to the run that triggered it).
+//!
+//! The read cost of a deep filtered run stack is not timed here: the
+//! stackbench `writebehind.*` metrics time it at 10M keys, and
+//! `tests/filter_compaction.rs` holds its deterministic filter-skip,
+//! probe-count and merge-volume gates.
 
 use sosd_bench::dynamic::{run_mixed, run_mixed_writebehind, DynFamily, MixedRunResult};
 use sosd_bench::registry::{EngineSpec, Family};
 use sosd_bench::report::{fmt_mb, write_json, Report};
 use sosd_bench::Args;
-use sosd_core::{
-    MergeMode, MergePolicy, QueryEngine, SearchStrategy, SortedData, WriteBehindEngine,
-};
+use sosd_core::{MergeMode, MergePolicy};
 use sosd_datasets::{generate_mixed, DatasetId, MixedConfig, ReadSkew};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// The write-behind base layouts under test: unsharded learned, unsharded
 /// traditional, and a sharded learned base (rebuilt and re-partitioned at
@@ -186,8 +187,6 @@ fn main() {
         }
     }
 
-    deep_stack_sweep(&mut report, &mut rows, &args);
-
     report.emit(&args.out_dir).expect("write results");
     write_json(&args.out_dir, "ext07_writebehind", &rows).expect("write json");
     println!(
@@ -198,167 +197,6 @@ fn main() {
          delta. bg rows overlap merge work with the op stream, sync rows block on it. \
          vs_btree > 1 means the run beat the in-place B+Tree on the same mix)"
     );
-}
-
-/// Frozen runs stacked by the deep-stack sweep.
-const DEEP_RUNS: usize = 8;
-/// Self-gate factor: filtered leveled point reads must land within this
-/// factor of the flat policy on the same cold/negative probe stream.
-const DEEP_GATE: f64 = 1.2;
-/// Re-time attempts before the gate fails — shared machines jitter.
-const DEEP_RETRIES: usize = 2;
-
-/// Deep-stack point-read sweep: freeze [`DEEP_RUNS`] disjoint runs above
-/// an untouched base, then time point reads that miss *every* run —
-/// alternating cold base hits and true negatives. Without per-run
-/// filters each read probes all stacked runs before reaching the base;
-/// with them the stack costs a few hash probes. Self-gates: filtered
-/// leveled throughput within [`DEEP_GATE`] of the flat policy on
-/// identical reads, realized probes/lookup below one, filters skipping
-/// ≥80% of stack probes, and leveled merge volume still strictly below
-/// flat's.
-fn deep_stack_sweep(report: &mut Report, rows: &mut Vec<MixedRunResult>, args: &Args) {
-    let n = args.n.max(4_096) as u64;
-    let bulk_keys: Vec<u64> = (0..n).map(|i| i * 4).collect();
-    let payloads: Vec<u64> = (0..n).map(|i| i.wrapping_mul(0x9E37) ^ 0xA5).collect();
-    let data = Arc::new(SortedData::with_payloads(bulk_keys, payloads).expect("sorted bulk"));
-    let run_size = 1_024usize;
-    let base_top = n * 4 + 4;
-
-    // Run `b` holds keys `base_top + b*2 + j*(DEEP_RUNS*2)` — the runs
-    // interleave, so every run's [min, max] span covers the whole insert
-    // region and min/max range pruning cannot skip any of them. Probe
-    // keys alternate cold base hits (`i*4`, below every run) and true
-    // negatives at *odd* offsets inside the shared span (inside all
-    // DEEP_RUNS run ranges, present in none) — only the per-run filters
-    // can prune those stack probes.
-    let span = (run_size * DEEP_RUNS * 2) as u64;
-    let n_probes = args.lookups.clamp(20_000, 2_000_000);
-    let probes: Vec<u64> = (0..n_probes as u64)
-        .map(|i| {
-            let r = i.wrapping_mul(0x9E3779B97F4A7C15) >> 17;
-            if i % 2 == 0 {
-                (r % n) * 4
-            } else {
-                base_top + (r % (span / 2)) * 2 + 1
-            }
-        })
-        .collect();
-
-    let mut engines = Vec::new();
-    for policy in [MergePolicy::Flat, MergePolicy::leveled(DEEP_RUNS + 2, 2)] {
-        let spec = EngineSpec::WriteBehind {
-            shards: 1,
-            inner: Family::Rmi.default_spec::<u64>(),
-            merge_threshold: run_size * 4,
-            policy,
-        };
-        let engine = spec
-            .writebehind_engine(&data, SearchStrategy::Binary, MergeMode::Sync)
-            .unwrap_or_else(|e| panic!("{} failed to build: {e}", spec.label::<u64>()));
-        for b in 0..DEEP_RUNS {
-            let start = base_top + (b * 2) as u64;
-            for j in 0..run_size {
-                engine.insert(start + (j * DEEP_RUNS * 2) as u64, j as u64);
-            }
-            engine.force_merge();
-        }
-        engines.push((spec, engine));
-    }
-    let (_, flat) = &engines[0];
-    let (_, lvl) = &engines[1];
-    assert!(
-        lvl.run_count() >= DEEP_RUNS,
-        "deep-stack sweep needs {DEEP_RUNS}+ stacked runs, got {}",
-        lvl.run_count()
-    );
-
-    let (mut flat_rate, flat_sum) = time_probes(flat, &probes);
-    let (mut lvl_rate, lvl_sum) = time_probes(lvl, &probes);
-    assert_eq!(lvl_sum, flat_sum, "deep-stack reads diverged between policies");
-    for _ in 0..DEEP_RETRIES {
-        if lvl_rate * DEEP_GATE >= flat_rate {
-            break;
-        }
-        flat_rate = time_probes(flat, &probes).0;
-        lvl_rate = time_probes(lvl, &probes).0;
-    }
-    assert!(
-        lvl_rate * DEEP_GATE >= flat_rate,
-        "deep stack: filtered leveled point reads ({lvl_rate:.2} Mops/s) fell more \
-         than {DEEP_GATE}x behind flat ({flat_rate:.2} Mops/s)"
-    );
-    let ppl = lvl.probes_per_lookup();
-    assert!(
-        ppl < 1.0,
-        "filters must prune realized fan-out below one run probe per lookup, got {ppl:.2}"
-    );
-    let consulted = lvl.filter_skips() + lvl.stack_probes();
-    assert!(
-        lvl.filter_skips() * 10 >= consulted * 8,
-        "filters skipped {} of {} consulted stack probes — below the 80% floor",
-        lvl.filter_skips(),
-        consulted
-    );
-    assert!(
-        lvl.merged_entries() < flat.merged_entries(),
-        "leveled total merge volume {} must stay below flat {}",
-        lvl.merged_entries(),
-        flat.merged_entries()
-    );
-    eprintln!(
-        "[ext07] deep stack: {} runs, flat {flat_rate:.2} vs leveled {lvl_rate:.2} Mops/s, \
-         {ppl:.2} probes/lookup, {} filter skips",
-        lvl.run_count(),
-        lvl.filter_skips()
-    );
-
-    for ((spec, engine), (rate, tag)) in
-        engines.iter().zip([(flat_rate, "flat"), (lvl_rate, "deep8")])
-    {
-        let r = deep_row(spec, engine, rate, n_probes);
-        push_row(report, "deep8-cold", &r, "force", tag, None);
-        rows.push(r);
-    }
-}
-
-/// Time the cold/negative probe stream, folding results into a checksum
-/// so the reads cannot be optimized away (and so both policies can be
-/// proven to serve identical answers).
-fn time_probes(engine: &WriteBehindEngine<u64>, probes: &[u64]) -> (f64, u64) {
-    let t = Instant::now();
-    let mut checksum = 0u64;
-    for &k in probes {
-        checksum =
-            checksum.wrapping_mul(0x100000001B3).wrapping_add(engine.get(k).unwrap_or(0x9E37));
-    }
-    (probes.len() as f64 / t.elapsed().as_secs_f64() / 1e6, checksum)
-}
-
-/// Assemble a [`MixedRunResult`] for one deep-stack engine so its row
-/// lands in `results.json` beside the churn-mix rows.
-fn deep_row(
-    spec: &EngineSpec,
-    engine: &WriteBehindEngine<u64>,
-    mops: f64,
-    n_probes: usize,
-) -> MixedRunResult {
-    MixedRunResult {
-        family: format!("{}/sync", spec.label::<u64>()),
-        workload: "deep8-cold".into(),
-        bulk_ms: 0.0,
-        mops_per_s: mops,
-        ns_per_op: 1e3 / mops,
-        size_bytes: engine.size_bytes(),
-        checksum: 0,
-        ops: n_probes,
-        merges: engine.merges_completed(),
-        merged_entries: engine.merged_entries(),
-        compactions: engine.compactions(),
-        runs: engine.run_count(),
-        filter_skips: engine.filter_skips(),
-        probes_per_lookup: engine.probes_per_lookup(),
-    }
 }
 
 /// Entries merged per completed cycle, when any cycle completed.
@@ -374,6 +212,8 @@ fn policy_tag(policy: MergePolicy) -> &'static str {
     }
 }
 
+/// One report row. A `threshold` of `-` marks an in-place baseline, which
+/// has no run stack, so its fanout, probe and filter cells print `-`.
 fn push_row(
     report: &mut Report,
     mix: &str,

@@ -33,8 +33,8 @@
 //! less at the top paced rate; on the cached tier — whose fast path
 //! answers the Zipf hot set at submit time identically under either
 //! scheduler, diluting the comparison by design — waves must not regress
-//! the drain rate. A failing gate panics the run (with ext08-style
-//! re-measures to absorb shared-runner timing noise).
+//! the drain rate. A failing gate panics the run, after fresh re-measures
+//! of both sides to absorb shared-runner timing noise.
 
 use serde::Serialize;
 use sosd_bench::registry::{EngineSpec, Family};

@@ -7,46 +7,21 @@
 //! registered experiment in one step instead of one workflow step per
 //! binary. Each experiment's stdout+stderr is captured to
 //! `<out>/log_<name>.txt`; a summary with per-experiment wall time is
-//! printed at the end and written to `<out>/run_all_summary.csv`, plus a
-//! machine-readable `<out>/results.json` — per-experiment status, wall
-//! time, and headline throughput rows lifted from each experiment's CSV —
-//! which CI uploads as a build artifact on every run (success and
-//! failure), so the perf trajectory is reconstructable from CI history.
+//! printed at the end and written to `<out>/run_all_summary.csv`.
 //!
 //! Exit status: nonzero when any experiment that *ran* failed (its own exit
 //! status was nonzero, or it could not be spawned). Experiments whose
 //! binaries are not built are reported as `skipped` and do not fail the
 //! run — build with `--bins` to cover everything.
 //!
-//! # Perf-trajectory gate
-//!
-//! `--compare <baseline.json>` diffs this run's headline throughput
-//! against a committed baseline (same `results.json` schema): for every
-//! experiment both runs measured, the best headline throughput (or, for
-//! latency-reporting experiments, inverse latency) is
-//! compared, the full delta table is printed either way, and the process
-//! exits nonzero only when an experiment regressed by more than
-//! [`REGRESSION_FACTOR`]× — a deliberately generous tolerance, since CI
-//! machines differ; the gate catches collapses, not noise. Add
-//! `--against <results.json>` to compare an *existing* results file
-//! instead of running the experiments again (how CI reuses the smoke
-//! step's output):
-//!
-//! ```text
-//! run_all --compare ci/baseline.json --against /tmp/results/results.json
-//! ```
-//!
-//! Both flags are consumed here and never forwarded to experiments.
+//! This is a smoke and reproduction driver, not a perf gate: the repo's
+//! performance yardstick is stackbench (`benchmark/`), which times the
+//! serving stack at 10M keys.
 
-use serde::{Serialize, Value};
 use std::io::Write;
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
-
-/// An experiment fails the `--compare` gate only when its best headline
-/// throughput drops below `baseline / REGRESSION_FACTOR`.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 /// Every experiment binary, in paper order then extensions.
 const EXPERIMENTS: &[&str] = &[
@@ -71,28 +46,10 @@ const EXPERIMENTS: &[&str] = &[
     "ext05_batching",
     "ext06_sharding",
     "ext07_writebehind",
-    "ext08_caching",
     "ext09_openloop",
     "ext10_storage",
     "ext11_advisor",
-    "ext12_snapshot",
 ];
-
-/// How many top rows of each experiment's CSV make it into the
-/// `results.json` headline (enough to eyeball a perf trend across CI runs
-/// without downloading the full CSVs).
-const HEADLINE_ROWS: usize = 3;
-
-/// Column-header fragments recognized as throughput-like (higher is
-/// better); the first matching column ranks the headline rows.
-const THROUGHPUT_COLUMNS: &[&str] =
-    &["mops_per_s", "m_lookups_per_sec", "mlookups_per_s", "sustained_kreq_s"];
-
-/// Column-header fragments recognized as latency/cost-like (lower is
-/// better). Used only by the `--compare` gate, as inverse speed, for
-/// experiments whose headline carries no throughput column.
-const LATENCY_COLUMNS: &[&str] =
-    &["ns_per_lookup", "ns_per_op", "warm_ns", "no_fence_ns", "build_secs"];
 
 /// Outcome of one experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,22 +74,7 @@ impl Status {
 
 fn main() {
     let wall = Instant::now();
-    let mut forwarded: Vec<String> = std::env::args().skip(1).collect();
-    // The compare flags belong to run_all alone: strip them before the
-    // shared parser sees them (it exits on unknown flags) and before the
-    // argv is forwarded to the experiment binaries.
-    let baseline_path = extract_flag(&mut forwarded, "--compare");
-    let against_path = extract_flag(&mut forwarded, "--against");
-
-    if let Some(against) = &against_path {
-        // Compare-only mode: diff two existing results files, run nothing.
-        let baseline_path =
-            baseline_path.unwrap_or_else(|| fatal("--against requires --compare <baseline.json>"));
-        let baseline = load_results(&baseline_path);
-        let current = load_results(against);
-        finish_compare(&baseline_path, &baseline, &current);
-        return;
-    }
+    let forwarded: Vec<String> = std::env::args().skip(1).collect();
 
     // Reuse the shared parser only to locate the output directory.
     let out_dir = sosd_bench::Args::parse_from(forwarded.clone()).out_dir;
@@ -196,7 +138,6 @@ fn main() {
     println!("{:<24} {wall_seconds:>9.1}", "wall");
     csv.push_str(&format!("wall,{wall_seconds:.1},-\n"));
     write_summary(&out_dir, &csv);
-    let results = write_results_json(&out_dir, &summary, total, wall_seconds, &forwarded);
 
     let count = |s: Status| summary.iter().filter(|(_, _, st)| *st == s).count();
     let failed: Vec<&str> = summary
@@ -215,368 +156,8 @@ fn main() {
         eprintln!("\nFAILED: {}", failed.join(", "));
         std::process::exit(1);
     }
-    if let Some(baseline_path) = &baseline_path {
-        let baseline = load_results(baseline_path);
-        finish_compare(baseline_path, &baseline, &results);
-    }
-}
-
-/// Remove `--flag <value>` (or `--flag=<value>`) from `args`, returning the
-/// value of its last occurrence.
-fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut found = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            args.remove(i);
-            if i < args.len() {
-                found = Some(args.remove(i));
-            } else {
-                fatal(&format!("{flag} requires a value"));
-            }
-        } else if let Some(v) = args[i].strip_prefix(&prefix) {
-            found = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    found
-}
-
-fn fatal(msg: &str) -> ! {
-    eprintln!("[run_all] error: {msg}");
-    std::process::exit(2);
-}
-
-fn load_results(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fatal(&format!("cannot read {path}: {e}")));
-    serde_json::from_str(&text).unwrap_or_else(|e| fatal(&format!("cannot parse {path}: {e}")))
-}
-
-/// Print the full delta table, then exit nonzero iff any experiment
-/// regressed by more than [`REGRESSION_FACTOR`]×.
-fn finish_compare(baseline_path: &str, baseline: &Value, current: &Value) {
-    let (table, regressions) = compare_results(baseline, current);
-    println!("\nperf trajectory vs {baseline_path} (gate: >{REGRESSION_FACTOR}x regression)");
-    print!("{table}");
-    if regressions.is_empty() {
-        println!("\nperf gate passed: no experiment regressed by more than {REGRESSION_FACTOR}x");
-    } else {
-        eprintln!("\nperf gate FAILED: {}", regressions.join(", "));
-        std::process::exit(1);
-    }
 }
 
 fn write_summary(out_dir: &Path, csv: &str) {
     std::fs::write(out_dir.join("run_all_summary.csv"), csv).expect("write summary");
-}
-
-/// The machine-readable run summary: one record per experiment with its
-/// status, wall time, and up to [`HEADLINE_ROWS`] headline rows pulled
-/// from the experiment's own CSV (the rows with the highest value in the
-/// first throughput-like column). Written on every run — success and
-/// failure alike — so CI's artifact always carries it.
-fn write_results_json(
-    out_dir: &Path,
-    summary: &[(String, f64, Status)],
-    total: f64,
-    wall_seconds: f64,
-    forwarded: &[String],
-) -> Value {
-    let experiments: Vec<Value> = summary
-        .iter()
-        .map(|(name, secs, status)| {
-            let csv_path = out_dir.join(format!("{name}.csv"));
-            let headline = std::fs::read_to_string(&csv_path)
-                .map(|csv| headline_rows(&csv, HEADLINE_ROWS))
-                .unwrap_or_default();
-            Value::Object(vec![
-                ("name".into(), Value::Str(name.clone())),
-                ("status".into(), Value::Str(status.label().into())),
-                ("seconds".into(), Value::Float((secs * 10.0).round() / 10.0)),
-                ("headline".into(), Value::Array(headline)),
-            ])
-        })
-        .collect();
-    let doc = Value::Object(vec![
-        ("schema".into(), Value::Str("sosd-run-all/1".into())),
-        ("args".into(), forwarded.to_vec().to_value()),
-        ("total_seconds".into(), Value::Float((total * 10.0).round() / 10.0)),
-        ("wall_seconds".into(), Value::Float((wall_seconds * 10.0).round() / 10.0)),
-        ("experiments".into(), Value::Array(experiments)),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("results document serializes");
-    std::fs::write(out_dir.join("results.json"), json).expect("write results.json");
-    doc
-}
-
-/// The experiment records of a `results.json` document as `(name, record)`
-/// pairs, in file order.
-fn experiments_of(doc: &Value) -> Vec<(&str, &Value)> {
-    let mut out = Vec::new();
-    if let Some(Value::Array(items)) = doc.get_field("experiments") {
-        for exp in items {
-            if let Some(name) = exp.get_field("name").and_then(Value::as_str) {
-                out.push((name, exp));
-            }
-        }
-    }
-    out
-}
-
-/// Best headline speed of one experiment record: the maximum over its
-/// headline rows of the first column whose name contains a
-/// [`THROUGHPUT_COLUMNS`] token, falling back per row to the inverse of
-/// the first [`LATENCY_COLUMNS`] match (so latency-reporting experiments
-/// join the gate; only the ratio between runs is ever used, so the
-/// inverted unit does not matter). `None` when the experiment was
-/// skipped, failed, or reports neither kind of column.
-fn best_speed(exp: &Value) -> Option<f64> {
-    if exp.get_field("status").and_then(Value::as_str) != Some("ok") {
-        return None;
-    }
-    let Some(Value::Array(rows)) = exp.get_field("headline") else {
-        return None;
-    };
-    let first_match = |fields: &[(String, Value)], tokens: &[&str]| -> Option<f64> {
-        fields
-            .iter()
-            .find(|(name, _)| {
-                let lower = name.to_ascii_lowercase();
-                tokens.iter().any(|t| lower.contains(t))
-            })
-            .and_then(|(_, v)| v.as_f64())
-    };
-    let mut best: Option<f64> = None;
-    for row in rows {
-        let Value::Object(fields) = row else { continue };
-        let speed = first_match(fields, THROUGHPUT_COLUMNS).or_else(|| {
-            first_match(fields, LATENCY_COLUMNS).and_then(|l| (l > 0.0).then(|| 1e3 / l))
-        });
-        if let Some(v) = speed {
-            best = Some(best.map_or(v, |b: f64| b.max(v)));
-        }
-    }
-    best
-}
-
-/// Diff two `results.json` documents experiment by experiment. Returns the
-/// full delta table (always printed, so the trajectory is visible even
-/// when the gate passes) and the list of experiments whose throughput
-/// dropped by more than [`REGRESSION_FACTOR`]×. Experiments missing from
-/// either side, skipped, or without a throughput column are annotated but
-/// never counted as regressions — the gate only judges what both runs
-/// actually measured.
-fn compare_results(baseline: &Value, current: &Value) -> (String, Vec<String>) {
-    let base = experiments_of(baseline);
-    let cur = experiments_of(current);
-    let mut names: Vec<&str> = base.iter().map(|(n, _)| *n).collect();
-    for (n, _) in &cur {
-        if !names.contains(n) {
-            names.push(n);
-        }
-    }
-
-    let lookup = |set: &[(&str, &Value)], name: &str| -> Option<f64> {
-        set.iter().find(|(n, _)| *n == name).and_then(|(_, e)| best_speed(e))
-    };
-    let mut table = format!(
-        "{:<24} {:>12} {:>12} {:>8}  {}\n",
-        "experiment", "baseline", "current", "ratio", "verdict"
-    );
-    let mut regressions = Vec::new();
-    for name in names {
-        let b = lookup(&base, name);
-        let c = lookup(&cur, name);
-        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}"));
-        let (ratio, verdict) = match (b, c) {
-            (Some(b), Some(c)) if b > 0.0 => {
-                let ratio = c / b;
-                if ratio * REGRESSION_FACTOR < 1.0 {
-                    regressions.push(format!("{name} ({ratio:.2}x)"));
-                    (format!("{ratio:.2}x"), "REGRESSED")
-                } else {
-                    (format!("{ratio:.2}x"), "ok")
-                }
-            }
-            (Some(_), Some(_)) => ("-".to_string(), "ok (zero baseline)"),
-            (None, Some(_)) => ("-".to_string(), "new (no baseline)"),
-            (Some(_), None) => ("-".to_string(), "n/a (not in this run)"),
-            (None, None) => ("-".to_string(), "n/a (no throughput)"),
-        };
-        table.push_str(&format!(
-            "{name:<24} {:>12} {:>12} {ratio:>8}  {verdict}\n",
-            fmt(b),
-            fmt(c)
-        ));
-    }
-    (table, regressions)
-}
-
-/// Up to `limit` rows of an experiment CSV as JSON objects, ranked by the
-/// first throughput-like column (falling back to the file's first rows
-/// when no such column exists). Quoted cells are tolerated but headline
-/// columns are always plain numbers in this workspace's reports.
-fn headline_rows(csv: &str, limit: usize) -> Vec<Value> {
-    let mut lines = csv.lines();
-    let Some(header) = lines.next() else {
-        return Vec::new();
-    };
-    let columns: Vec<&str> = header.split(',').collect();
-    let rank_col = columns.iter().position(|c| {
-        let lower = c.to_ascii_lowercase();
-        THROUGHPUT_COLUMNS.iter().any(|t| lower.contains(t))
-    });
-    let mut rows: Vec<Vec<&str>> = lines
-        .map(|l| l.split(',').collect())
-        .filter(|r: &Vec<&str>| r.len() == columns.len())
-        .collect();
-    if let Some(col) = rank_col {
-        rows.sort_by(|a, b| {
-            let parse = |r: &Vec<&str>| r[col].parse::<f64>().unwrap_or(f64::MIN);
-            parse(b).partial_cmp(&parse(a)).unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-    rows.truncate(limit);
-    rows.into_iter()
-        .map(|row| {
-            Value::Object(
-                columns
-                    .iter()
-                    .zip(&row)
-                    .map(|(&c, &cell)| {
-                        let v = match cell.parse::<u64>() {
-                            Ok(n) => Value::UInt(n),
-                            Err(_) => match cell.parse::<f64>() {
-                                Ok(f) => Value::Float(f),
-                                Err(_) => Value::Str(cell.to_string()),
-                            },
-                        };
-                        (c.to_string(), v)
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn headline_ranks_by_throughput_column() {
-        let csv = "mix,engine,Mops_per_s,ns_per_op\n\
-                   a,x,1.50,666\n\
-                   a,y,9.25,108\n\
-                   a,z,4.00,250\n\
-                   a,w,0.25,4000\n";
-        let rows = headline_rows(csv, 2);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get_field("engine").and_then(Value::as_str), Some("y"));
-        assert_eq!(rows[0].get_field("Mops_per_s").and_then(Value::as_f64), Some(9.25));
-        assert_eq!(rows[1].get_field("engine").and_then(Value::as_str), Some("z"));
-    }
-
-    #[test]
-    fn headline_without_throughput_column_keeps_file_order() {
-        let csv = "index,size_mb\nfirst,1.0\nsecond,2.0\n";
-        let rows = headline_rows(csv, 5);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get_field("index").and_then(Value::as_str), Some("first"));
-    }
-
-    fn doc(experiments: &str) -> Value {
-        let text = format!("{{\"schema\":\"sosd-run-all/1\",\"experiments\":[{experiments}]}}");
-        serde_json::from_str(&text).expect("test document parses")
-    }
-
-    fn exp(name: &str, status: &str, mops: f64) -> String {
-        format!(
-            "{{\"name\":\"{name}\",\"status\":\"{status}\",\"seconds\":1.0,\
-             \"headline\":[{{\"engine\":\"x\",\"Mops_per_s\":{mops}}},\
-                           {{\"engine\":\"y\",\"Mops_per_s\":{}}}]}}",
-            mops / 2.0
-        )
-    }
-
-    #[test]
-    fn compare_tolerates_noise_but_fails_collapses() {
-        let baseline = doc(&[exp("a", "ok", 10.0), exp("b", "ok", 8.0)].join(","));
-        // a is 1.8x slower (within the 2x gate), b collapsed 4x.
-        let current = doc(&[exp("a", "ok", 5.6), exp("b", "ok", 2.0)].join(","));
-        let (table, regressions) = compare_results(&baseline, &current);
-        assert_eq!(regressions.len(), 1, "table:\n{table}");
-        assert!(regressions[0].starts_with("b "), "{regressions:?}");
-        assert!(table.contains("REGRESSED"));
-        // The full table covers the passing experiment too.
-        assert!(table.contains("0.56x"));
-    }
-
-    #[test]
-    fn compare_takes_best_headline_row_per_side() {
-        // Row ranking is per-document: the 20.0 row dominates the 10.0 one,
-        // so a current best of 11.0 is a mild (passing) slowdown, not a gate
-        // failure against the weaker row.
-        let baseline = doc(&exp("a", "ok", 20.0));
-        let current = doc(&exp("a", "ok", 11.0));
-        let (_, regressions) = compare_results(&baseline, &current);
-        assert!(regressions.is_empty(), "{regressions:?}");
-    }
-
-    #[test]
-    fn compare_reads_latency_columns_as_inverse_speed() {
-        let lat = |name: &str, ns: f64| {
-            format!(
-                "{{\"name\":\"{name}\",\"status\":\"ok\",\"seconds\":1.0,\
-                 \"headline\":[{{\"index\":\"x\",\"ns_per_lookup\":{ns}}}]}}"
-            )
-        };
-        // Latency went 100ns -> 150ns (1.5x slower: fine) on one
-        // experiment and 100ns -> 500ns (5x slower: collapse) on another.
-        let baseline = doc(&[lat("mild", 100.0), lat("collapse", 100.0)].join(","));
-        let current = doc(&[lat("mild", 150.0), lat("collapse", 500.0)].join(","));
-        let (table, regressions) = compare_results(&baseline, &current);
-        assert_eq!(regressions.len(), 1, "table:\n{table}");
-        assert!(regressions[0].starts_with("collapse "), "{regressions:?}");
-    }
-
-    #[test]
-    fn compare_ignores_new_missing_and_skipped_experiments() {
-        let baseline = doc(&[exp("gone", "ok", 9.0), exp("was_skipped", "skipped", 0.0)].join(","));
-        let current = doc(&[exp("brand_new", "ok", 1.0), exp("was_skipped", "ok", 3.0)].join(","));
-        let (table, regressions) = compare_results(&baseline, &current);
-        assert!(regressions.is_empty(), "table:\n{table}");
-        assert!(table.contains("gone"));
-        assert!(table.contains("brand_new"));
-        assert!(table.contains("n/a"));
-        assert!(table.contains("new"));
-    }
-
-    #[test]
-    fn extract_flag_strips_both_spellings_and_leaves_the_rest() {
-        let mut args: Vec<String> =
-            ["--quick", "--compare", "ci/baseline.json", "--against=r.json", "--seed", "7"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        assert_eq!(extract_flag(&mut args, "--compare").as_deref(), Some("ci/baseline.json"));
-        assert_eq!(extract_flag(&mut args, "--against").as_deref(), Some("r.json"));
-        assert_eq!(extract_flag(&mut args, "--compare"), None);
-        assert_eq!(args, ["--quick", "--seed", "7"]);
-    }
-
-    #[test]
-    fn headline_tolerates_empty_and_ragged_input() {
-        assert!(headline_rows("", 3).is_empty());
-        assert!(headline_rows("a,b\n", 3).is_empty());
-        // Ragged rows (stray commas from quoted cells) are dropped, not
-        // misaligned.
-        let rows = headline_rows("a,b\n1,2\nonly_one_cell\n", 3);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get_field("a").and_then(Value::as_u64), Some(1));
-    }
 }

@@ -1,7 +1,8 @@
 //! Oracle-backed harness for the per-run Bloom filters and tombstone-aware
 //! compaction of the leveled policy: `BTreeMap`-oracle property tests
 //! churning through at least 3 compactions, an FP-allowed / FN-never audit
-//! over deleted and never-inserted keys via `run_filter_audit`, and spool
+//! over deleted and never-inserted keys via `run_filter_audit`, the probe
+//! and merge-volume bounds of a deep interleaved stack against `Flat`, and spool
 //! round-trips proving filters survive a cold re-open bit-exactly (same
 //! answers, same skip counters) while a corrupted filter section — or one
 //! of a retired filter kind — fails loudly instead of mis-answering.
@@ -208,6 +209,65 @@ fn filters_may_false_positive_but_never_false_negative() {
         engine.filter_skips() > 0,
         "bloom filters never skipped a probe over {} absent-key lookups",
         deleted.len() + never.len()
+    );
+}
+
+/// What the filters buy on a deep stack. Eight runs interleave, so every
+/// run's [min, max] span covers the whole insert region and range pruning
+/// skips none of them. Point reads alternate cold base hits (below every
+/// run) with absent odd-offset keys inside every span. Under
+/// `leveled(10, 2)` they must average under one run probe per lookup,
+/// with the filters skipping at least 80% of the run probes they are
+/// consulted on, and answer exactly as the same inserts under `Flat` —
+/// which merged more entries to get there.
+#[test]
+fn filters_keep_a_deep_interleaved_stack_under_one_probe_per_lookup() {
+    const RUNS: usize = 8;
+    const RUN_SIZE: usize = 1_024;
+    const BASE: u64 = 20_000;
+    let keys: Vec<u64> = (0..BASE).map(|i| i * 4).collect();
+    let top = BASE * 4 + 4;
+    // Run `b` holds `top + b*2 + j*RUNS*2`: even offsets from `top`.
+    let span = (RUN_SIZE * RUNS * 2) as u64;
+    let probes: Vec<u64> = (0..20_000u64)
+        .map(|i| {
+            let r = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+            if i % 2 == 0 {
+                (r % BASE) * 4
+            } else {
+                top + (r % (span / 2)) * 2 + 1
+            }
+        })
+        .collect();
+    let stacked = |policy| {
+        let (engine, _) = build_with_policy(&keys, RUN_SIZE * 4, MergeMode::Sync, policy);
+        for b in 0..RUNS {
+            for j in 0..RUN_SIZE {
+                engine.insert(top + (b * 2 + j * RUNS * 2) as u64, j as u64);
+            }
+            engine.force_merge();
+        }
+        engine
+    };
+    let flat = stacked(MergePolicy::Flat);
+    let lvl = stacked(MergePolicy::leveled(RUNS + 2, 2));
+    assert!(lvl.run_count() >= RUNS, "stack too shallow: {}", lvl.run_count());
+
+    let answers = |e: &WriteBehindEngine<u64>| probes.iter().map(|&k| e.get(k)).collect::<Vec<_>>();
+    assert_eq!(answers(&lvl), answers(&flat), "deep-stack reads diverged between policies");
+    let ppl = lvl.probes_per_lookup();
+    assert!(ppl < 1.0, "filters must keep run probes per lookup below one, got {ppl:.2}");
+    let consulted = lvl.filter_skips() + lvl.stack_probes();
+    assert!(
+        lvl.filter_skips() * 10 >= consulted * 8,
+        "filters skipped {} of {consulted} consulted run probes, below the 80% floor",
+        lvl.filter_skips()
+    );
+    assert!(
+        lvl.merged_entries() < flat.merged_entries(),
+        "leveled merge volume {} must stay below flat {}",
+        lvl.merged_entries(),
+        flat.merged_entries()
     );
 }
 
