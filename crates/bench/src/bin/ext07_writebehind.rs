@@ -1,5 +1,6 @@
 //! Extension experiment 7: write-behind serving vs the in-place dynamic
-//! structures, across merge policies and churn (insert + remove) mixes.
+//! structures, across leveled merge shapes and churn (insert + remove)
+//! mixes.
 //!
 //! The paper's updatable-index experiments (Section 5 / Figure 18 of the
 //! extended report) show learned structures falling behind B-trees as the
@@ -7,17 +8,17 @@
 //! The LSM answer — and this experiment's subject — is to never write to
 //! the learned structure at all: `WriteBehindEngine` keeps the base
 //! immutable, absorbs inserts *and tombstoned removes* in a bounded delta
-//! buffer, and folds them in at merge time. The [`MergePolicy`] axis pits
-//! the two LSM shapes against each other: `Flat` rebuilds the whole base
-//! per cycle (one engine to probe, `O(n)` merged volume), `Leveled` stacks
-//! frozen runs — each its own learned index — and compacts level-locally
-//! (bounded merged volume, more engines to probe). The `merged/cycle` and
-//! `fanout` columns make that trade explicit, and the run self-gates on
-//! it: on every churn mix, the leveled rows must move strictly less volume
-//! per merge cycle than the flat row of the same configuration.
+//! buffer, and freezes it into a leveled stack of runs — each its own
+//! learned index — that compacts level-locally and folds into the base
+//! only when the bottom level overflows. The [`MergePolicy`] axis compares
+//! two stack shapes (deep/narrow `4×3`, shallow/wide `8×2`): the
+//! `merged/cycle` and `fanout` columns show their merge-work/read-fan-out
+//! trade, and the run self-gates on the bound the stack exists for: every
+//! write-behind row moves fewer entries per merge cycle than the
+//! bulk-loaded key count a full base rebuild would move.
 //!
 //! The sweep crosses **write/remove ratio × merge threshold × base
-//! family × merge policy × merge mode**, driven by the same
+//! family × merge shape × merge mode**, driven by the same
 //! `MixedWorkload` streams (including a Zipf read-skew mix) as the `ext01`
 //! dynamic baselines, and re-runs those baselines alongside for a direct
 //! comparison. Every run's op-result checksum is validated against the
@@ -61,10 +62,8 @@ const MIXES: [(f64, f64, ReadSkew); 4] = [
 /// count: `writes/8` (many small merges) and `writes/2` (few large ones).
 const THRESHOLD_DIVISORS: [usize; 2] = [8, 2];
 
-/// The merge policies under test: the flat rebuild against two leveled
-/// shapes (deep/narrow and shallow/wide fan-out).
-const POLICIES: [MergePolicy; 3] =
-    [MergePolicy::Flat, MergePolicy::leveled(4, 3), MergePolicy::leveled(8, 2)];
+/// The leveled shapes under test: deep/narrow and shallow/wide fan-out.
+const POLICIES: [MergePolicy; 2] = [MergePolicy::leveled(4, 3), MergePolicy::leveled(8, 2)];
 
 /// The in-place dynamic baselines re-run on every mix.
 const BASELINES: [DynFamily; 3] = [DynFamily::BPlusTree, DynFamily::Alex, DynFamily::DynamicPgm];
@@ -138,9 +137,6 @@ fn main() {
         for divisor in THRESHOLD_DIVISORS {
             let merge_threshold = (expected_writes / divisor).max(64);
             for (base_family, shards) in BASES {
-                // Per-cycle merged volume of the flat row of each (mode),
-                // for the leveled-beats-flat self-gate.
-                let mut flat_volume = [None::<f64>; 2];
                 for policy in POLICIES {
                     let spec = EngineSpec::WriteBehind {
                         shards,
@@ -148,9 +144,7 @@ fn main() {
                         merge_threshold,
                         policy,
                     };
-                    for (m, mode) in
-                        [MergeMode::Sync, MergeMode::Background].into_iter().enumerate()
-                    {
+                    for mode in [MergeMode::Sync, MergeMode::Background] {
                         let r = run_mixed_writebehind(
                             &spec,
                             mode,
@@ -161,23 +155,21 @@ fn main() {
                         )
                         .unwrap_or_else(|e| panic!("{} failed to build: {e}", spec.label::<u64>()));
                         validate(r.checksum, &r.family);
-                        let volume = per_cycle_volume(&r);
-                        match (policy, volume, flat_volume[m]) {
-                            (MergePolicy::Flat, v, _) => flat_volume[m] = v,
-                            (MergePolicy::Leveled { .. }, Some(lv), Some(fv)) => assert!(
-                                lv < fv,
-                                "{}: leveled merged volume/cycle {lv:.0} must be strictly \
-                                 below flat {fv:.0} on the same mix",
-                                r.family
-                            ),
-                            _ => {}
+                        if let Some(volume) = per_cycle_volume(&r) {
+                            assert!(
+                                volume < w.bulk_keys.len() as f64,
+                                "{}: merged volume/cycle {volume:.0} must stay below the {} \
+                                 bulk-loaded keys a full base rebuild moves",
+                                r.family,
+                                w.bulk_keys.len()
+                            );
                         }
                         push_row(
                             &mut report,
                             &w.label,
                             &r,
                             &format!("w/{divisor}"),
-                            policy_tag(policy),
+                            &format!("lvl{}x{}", policy.fanout, policy.max_levels),
                             btree_rate,
                         );
                         rows.push(r);
@@ -192,24 +184,16 @@ fn main() {
     println!(
         "\n(write-behind rows: merges counts completed merge cycles; merged_per_cycle \
          is the entries written into immutable structures per cycle — the volume the \
-         leveled policy bounds (self-gated: leveled < flat on every mix); fanout is \
-         runs+base, the worst-case engine probes per point read after missing the \
-         delta. bg rows overlap merge work with the op stream, sync rows block on it. \
-         vs_btree > 1 means the run beat the in-place B+Tree on the same mix)"
+         leveled stack bounds (self-gated: below the bulk-loaded key count on every \
+         row); fanout is runs+base, the worst-case engine probes per point read after \
+         missing the delta. bg rows overlap merge work with the op stream, sync rows \
+         block on it. vs_btree > 1 means the run beat the in-place B+Tree on the same mix)"
     );
 }
 
 /// Entries merged per completed cycle, when any cycle completed.
 fn per_cycle_volume(r: &MixedRunResult) -> Option<f64> {
     (r.merges > 0).then(|| r.merged_entries as f64 / r.merges as f64)
-}
-
-fn policy_tag(policy: MergePolicy) -> &'static str {
-    match policy {
-        MergePolicy::Flat => "flat",
-        MergePolicy::Leveled { fanout: 4, .. } => "lvl4x3",
-        MergePolicy::Leveled { .. } => "lvl8x2",
-    }
 }
 
 /// One report row. A `threshold` of `-` marks an in-place baseline, which

@@ -108,7 +108,7 @@ fn engine_specs(cache_capacity: usize) -> Vec<(&'static str, bool, EngineSpec)> 
                     shards: 1,
                     inner: rmi,
                     merge_threshold: 1 << 40,
-                    policy: MergePolicy::Flat,
+                    policy: MergePolicy::leveled(4, 3),
                 }),
             },
         ),

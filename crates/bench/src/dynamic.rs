@@ -246,7 +246,7 @@ mod tests {
         use sosd_core::MergePolicy;
         // A churn mix: removes land as tombstones in the write-behind tier
         // and must fold the same observable results as the in-place
-        // baseline, in both merge policies and both merge modes.
+        // baseline, in two leveled shapes and both merge modes.
         let cfg = MixedConfig {
             insert_fraction: 0.3,
             delete_fraction: 0.1,
@@ -256,7 +256,7 @@ mod tests {
         let w = generate_mixed(DatasetId::Amzn, 20_000, 6_000, cfg, 42);
         let baseline =
             run_mixed(DynFamily::BPlusTree, &w.label, &w.bulk_keys, &w.bulk_payloads, &w.ops);
-        for policy in [MergePolicy::Flat, MergePolicy::leveled(4, 2)] {
+        for policy in [MergePolicy::leveled(2, 1), MergePolicy::leveled(4, 2)] {
             let spec = EngineSpec::WriteBehind {
                 shards: 1,
                 inner: Family::BTree.default_spec::<u64>(),
@@ -279,9 +279,7 @@ mod tests {
                     wb.family
                 );
                 assert!(wb.merges >= 1, "threshold 400 should have merged ({})", wb.family);
-                if policy != MergePolicy::Flat {
-                    assert!(wb.merged_entries > 0, "merge volume must be tracked");
-                }
+                assert!(wb.merged_entries > 0, "merge volume must be tracked");
             }
         }
     }

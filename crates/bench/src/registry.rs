@@ -306,8 +306,7 @@ pub enum EngineSpec {
         inner: IndexSpec,
         /// Active-delta shadow-entry count that triggers a merge.
         merge_threshold: usize,
-        /// How merges fold the delta into the immutable tiers: one flat
-        /// base rebuild per cycle, or an LSM-style leveled run stack.
+        /// The shape of the leveled run stack merges fold the delta into.
         policy: MergePolicy,
     },
     /// Hot-key cached serving: a bounded, lock-striped
@@ -326,9 +325,9 @@ pub enum EngineSpec {
     /// Self-tuning sharded serving: an [`Advisor`] times every candidate
     /// per key-range shard and serves each shard from its
     /// winner — a possibly heterogeneous [`ShardedEngine`] (the spec pins
-    /// the candidate pool, not the outcome). Use
-    /// [`EngineSpec::advised_writebehind_engine`] to put the same pool
-    /// behind a write-behind tier that re-advises at every base rebuild.
+    /// the candidate pool, not the outcome). [`Advisor::base_factory`] puts
+    /// the same pool behind a write-behind tier that re-advises at every
+    /// run and base build.
     AutoTuned {
         /// Requested partition count (see [`sosd_core::partition_points`]).
         shards: usize,
@@ -347,12 +346,8 @@ impl EngineSpec {
             }
             EngineSpec::WriteBehind { shards, inner, merge_threshold, policy } => {
                 let base = EngineSpec::base_spec(*shards, *inner).label::<K>();
-                match policy {
-                    MergePolicy::Flat => format!("wb[{base}@{merge_threshold}]"),
-                    MergePolicy::Leveled { fanout, max_levels } => {
-                        format!("wb[{base}@{merge_threshold},lvl{fanout}x{max_levels}]")
-                    }
-                }
+                let MergePolicy { fanout, max_levels } = policy;
+                format!("wb[{base}@{merge_threshold},lvl{fanout}x{max_levels}]")
             }
             EngineSpec::Cached { capacity, stripes, negative, inner } => {
                 let neg = if *negative { ",neg" } else { "" };
@@ -415,30 +410,6 @@ impl EngineSpec {
             return Err(BuildError::InvalidConfig("advised_plan needs an autotuned spec".into()));
         };
         self.advisor::<K>()?.advise(data, *shards)
-    }
-
-    /// Build a [`WriteBehindEngine`] whose base is *re-advised at every
-    /// rebuild*: each base rebuild re-scores the candidate pool per shard
-    /// of the merged data. Non-auto-tuned specs are rejected.
-    pub fn advised_writebehind_engine<K: Key>(
-        &self,
-        data: &Arc<SortedData<K>>,
-        merge_threshold: usize,
-        mode: MergeMode,
-    ) -> Result<WriteBehindEngine<K>, BuildError> {
-        let EngineSpec::AutoTuned { shards, .. } = self else {
-            return Err(BuildError::InvalidConfig(
-                "advised_writebehind_engine needs an autotuned spec".into(),
-            ));
-        };
-        let advisor = Arc::new(self.advisor::<K>()?);
-        WriteBehindEngine::new(
-            Arc::clone(data),
-            advisor.base_factory(*shards),
-            btree_delta::<K>(),
-            merge_threshold,
-            mode,
-        )
     }
 
     /// Build as a concrete [`CachedEngine`] over the nested inner engine,
@@ -941,11 +912,23 @@ mod tests {
             assert!(pool.contains(&pick.label), "{} not in pool {pool:?}", pick.label);
             assert_eq!(pick.scores.len(), 2);
         }
-        // Behind a write-behind tier the base re-advises at every rebuild.
-        let wb = spec.advised_writebehind_engine(&data, 1 << 20, MergeMode::Sync).unwrap();
+        // Behind a write-behind tier every run and base build re-advises.
+        let advisor = Arc::new(spec.advisor::<u64>().unwrap());
+        let wb = WriteBehindEngine::with_policy(
+            Arc::clone(&data),
+            advisor.base_factory(4),
+            btree_delta(),
+            1 << 20,
+            MergeMode::Sync,
+            MergePolicy::leveled(2, 1),
+        )
+        .unwrap();
         wb.insert(1, 111);
         wb.force_merge();
-        assert_eq!(wb.merges_completed(), 1, "a forced merge rebuilds the advised base");
+        wb.insert(3, 333);
+        wb.force_merge();
+        assert_eq!(wb.compactions(), 1, "the second merge folds into a re-advised base");
+        assert_eq!(wb.get(3), Some(333));
         assert_eq!(wb.delta_len(), 0);
         assert_eq!(wb.get(1), Some(111), "re-advising keeps the visible mapping");
         assert_eq!(wb.get(data.key(123)), Some(data.payload(123)));
@@ -971,7 +954,7 @@ mod tests {
         };
         for spec in [
             EngineSpec::Sharded { shards: 0, inner: bs },
-            wb(0, MergePolicy::Flat),
+            wb(0, MergePolicy::leveled(4, 3)),
             wb(8, MergePolicy::leveled(1, 2)),
             cached(0, 1),
             cached(8, 0),
@@ -1005,7 +988,7 @@ mod tests {
             shards: 2,
             inner: Family::Pgm.default_spec::<u64>(),
             merge_threshold: 100,
-            policy: MergePolicy::Flat,
+            policy: MergePolicy::leveled(2, 1),
         };
         let wb = spec
             .writebehind_engine(&data, SearchStrategy::Binary, sosd_core::MergeMode::Sync)
@@ -1015,6 +998,7 @@ mod tests {
             wb.insert(k * 2 + 1, k);
         }
         assert!(wb.merges_completed() >= 2, "got {}", wb.merges_completed());
+        assert!(wb.base_len() > data.len(), "every second merge folds into the base");
         assert_eq!(wb.get(13), Some(6));
         assert_eq!(wb.get(12), Some(data.payload(6)));
         assert!(wb.name().starts_with("writebehind["), "{}", wb.name());

@@ -1,6 +1,6 @@
 //! Write-behind serving: an immutable base engine plus a bounded delta
 //! buffer, merged in the background — with tombstoned deletes and an
-//! optional LSM-style leveled run stack.
+//! LSM-style leveled run stack.
 //!
 //! The paper's updatable-index experiments show learned structures losing
 //! to B-trees under writes because every insert disturbs the model;
@@ -26,31 +26,24 @@
 //!   and a [`PinnedView`] both call it and differ only in where the
 //!   delta's answer comes from, the lock they hold, and whether the
 //!   kernel's run-stack tally is recorded.
-//! * **Merges** follow the configured [`MergePolicy`]:
-//!   * [`MergePolicy::Flat`] rebuilds the base from its [`SortedData`]
-//!     plus the drained delta when the delta crosses a size threshold
-//!     (tombstones delete their base records and are then dropped) —
-//!     `O(n)` merged volume per cycle.
-//!   * [`MergePolicy::Leveled`] freezes the threshold-crossing delta into
-//!     an immutable sorted *run* — each run carries **its own engine**,
-//!     built by the same base factory, so every frozen run is itself a
-//!     learned index — stacked newest-first in levels. A level holding
-//!     `fanout` runs is compacted into a single run one level down
-//!     (bounded work: only that level's volume moves), and only when the
-//!     *bottom* level overflows do its runs fold into the base — the one
-//!     point where tombstones may be dropped, because nothing older can
-//!     still hold their keys. Reads probe newest-to-oldest with per-run
-//!     key-range pruning.
-//!
-//!   Either way the merge runs synchronously ([`MergeMode::Sync`]) or on a
-//!   background thread ([`MergeMode::Background`]).
+//! * **Merges** freeze the threshold-crossing delta into an immutable
+//!   sorted *run* — each run carries **its own engine**, built by the same
+//!   base factory, so every frozen run is itself a learned index — stacked
+//!   newest-first in levels of the configured [`MergePolicy`] shape. A
+//!   level holding `fanout` runs is compacted into a single run one level
+//!   down (bounded work: only that level's volume moves), and only when
+//!   the *bottom* level overflows do its runs fold into the base — the one
+//!   point where tombstones may be dropped, because nothing older can
+//!   still hold their keys. Reads probe newest-to-oldest with per-run
+//!   key-range pruning. The merge runs synchronously ([`MergeMode::Sync`])
+//!   or on a background thread ([`MergeMode::Background`]).
 //!
 //! # The epoch pointer
 //!
 //! Each merge step produces a new immutable *generation* — the base
-//! (rebuilt data + engine) plus, under the leveled policy, the whole run
-//! stack — held in an `Arc`. Readers snapshot the current generation with
-//! one `Arc` clone and run against it lock-free; the merge builds the next
+//! (data + engine) plus the whole run stack — held in an `Arc`. Readers
+//! snapshot the current generation with one `Arc` clone and run against
+//! it lock-free; the merge builds the next
 //! generation entirely outside any lock and publishes it with an O(1)
 //! pointer swap. The pointer lives behind an `RwLock` (std has no atomic
 //! `Arc` swap), but the write lock is held only for the O(1) pointer moves
@@ -66,9 +59,9 @@
 //! created, in the checksummed page format of [`crate::store`]. The initial
 //! base is written at construction; each frozen delta's run is written **at
 //! freeze time** (tombstones ride in the snapshot's dead-key section);
-//! every rebuilt base — flat merges and bottom-level folds — is written
-//! before its swap, and because those folds drop tombstones first, a base
-//! snapshot never carries a dead-key section. After each swap a versioned
+//! every rebuilt base — a bottom-level fold — is written before its swap,
+//! and because that fold drops tombstones first, a base snapshot never
+//! carries a dead-key section. After each swap a versioned
 //! manifest is committed (tmp-write + rename) pointing at exactly the
 //! files of the live generation, and unreferenced snapshots are swept.
 //! [`WriteBehindEngine::open_spool`] re-opens the whole stack cold:
@@ -133,8 +126,8 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 /// Builds an immutable engine over a (rebuilt) data array — called once at
-/// construction, once per base rebuild, and (under [`MergePolicy::Leveled`])
-/// once per frozen run. Any [`QueryEngine`] works: a plain `StaticEngine`,
+/// construction, once per base rebuild, and once per frozen or compacted
+/// run. Any [`QueryEngine`] works: a plain `StaticEngine`,
 /// a `ShardedEngine`, or another compositor.
 pub type BaseFactory<K> =
     Arc<dyn Fn(Arc<SortedData<K>>) -> Result<Box<dyn QueryEngine<K>>, BuildError> + Send + Sync>;
@@ -157,44 +150,36 @@ pub enum MergeMode {
     Background,
 }
 
-/// How threshold-crossing deltas are folded into the immutable tiers.
+/// The shape of the LSM-style leveled run stack merges build: each merge
+/// freezes the delta into an immutable sorted run (with its own engine) at
+/// level 0; a level reaching `fanout` runs is compacted into one run at the
+/// next level; the bottom level (`max_levels - 1`) folds into the base
+/// instead. Bounded merge work per cycle, at the cost of read fan-out (up
+/// to `fanout * max_levels` run probes before the base answers — per-run
+/// Bloom filters claw most of that back on negative and cold keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MergePolicy {
-    /// Every merge rebuilds the single flat base from scratch: one engine
-    /// to probe on reads, `O(n)` merged volume per cycle.
-    Flat,
-    /// LSM-style leveled run stack: each merge freezes the delta into an
-    /// immutable sorted run (with its own engine) at level 0; a level
-    /// reaching `fanout` runs is compacted into one run at the next level;
-    /// the bottom level (`max_levels - 1`) folds into the base instead.
-    /// Bounded merge work per cycle, at the cost of read fan-out (up to
-    /// `fanout * max_levels` run probes before the base answers — per-run
-    /// Bloom filters claw most of that back on negative and cold keys).
-    Leveled {
-        /// Runs a level holds before compaction (>= 2).
-        fanout: usize,
-        /// Number of run levels above the base (>= 1).
-        max_levels: usize,
-    },
+pub struct MergePolicy {
+    /// Runs a level holds before compaction (>= 2).
+    pub fanout: usize,
+    /// Number of run levels above the base (>= 1).
+    pub max_levels: usize,
 }
 
 impl MergePolicy {
     /// The leveled policy of the given shape.
     pub const fn leveled(fanout: usize, max_levels: usize) -> MergePolicy {
-        MergePolicy::Leveled { fanout, max_levels }
+        MergePolicy { fanout, max_levels }
     }
 
     /// Validate the policy's parameters — the single definition of what a
     /// well-formed policy is, checked by every [`WriteBehindEngine`]
-    /// constructor that takes one.
+    /// constructor.
     fn validate(self) -> Result<(), BuildError> {
-        if let MergePolicy::Leveled { fanout, max_levels } = self {
-            if fanout < 2 {
-                return Err(BuildError::InvalidConfig("leveled fanout must be >= 2".into()));
-            }
-            if max_levels == 0 {
-                return Err(BuildError::InvalidConfig("leveled max_levels must be >= 1".into()));
-            }
+        if self.fanout < 2 {
+            return Err(BuildError::InvalidConfig("leveled fanout must be >= 2".into()));
+        }
+        if self.max_levels == 0 {
+            return Err(BuildError::InvalidConfig("leveled max_levels must be >= 1".into()));
         }
         Ok(())
     }
@@ -421,8 +406,8 @@ impl<K: Key> Run<K> {
 type SharedBase<K> = Arc<Box<dyn QueryEngine<K>>>;
 
 /// One immutable generation: the run stack (newest level first, newest run
-/// first within a level; always empty under [`MergePolicy::Flat`]) over the
-/// base engine and the data it was built from.
+/// first within a level) over the base engine and the data it was built
+/// from.
 struct Generation<K: Key> {
     /// `levels[0]` holds the newest runs; within a level, index 0 is the
     /// newest run.
@@ -1141,12 +1126,23 @@ impl<K: Key> Shared<K> {
         Ok(Generation::new(levels, Arc::new(base), data, epoch, base_file, base_hash))
     }
 
-    /// A merge build failed: fold the snapshot back into the delta and
-    /// count the failure; the next cycle retries.
-    fn merge_failed(&self, snapshot: &[Shadow<K>], what: &str, e: BuildError) {
-        self.rollback(snapshot);
+    /// A run build failed: fold the drained snapshot back into the active
+    /// delta (newer active entries win) so nothing is lost, clear the
+    /// frozen pointer, and count the failure; the next cycle retries. The
+    /// visible count is invariant — the fold only restores shadow entries
+    /// the frozen tier already applied.
+    fn merge_failed(&self, snapshot: &[Shadow<K>], e: BuildError) {
+        {
+            let mut st = self.write();
+            for &(k, v) in snapshot {
+                if st.active.state(k).is_none() {
+                    st.active.set(k, v, None);
+                }
+            }
+            st.frozen = None;
+        }
         self.failed_merges.fetch_add(1, Ordering::Relaxed);
-        eprintln!("[writebehind] {what} failed, delta retained: {e}");
+        eprintln!("[writebehind] run build failed, delta retained: {e}");
     }
 
     /// What the tiers below the active delta say about `key`, as the write
@@ -1189,42 +1185,11 @@ impl<K: Key> Shared<K> {
         };
 
         // Drain outside every lock: readers keep serving old stack +
-        // frozen, writers keep filling the new active delta.
+        // frozen, writers keep filling the new active delta. Then freeze
+        // the snapshot into a level-0 run and run bounded compactions
+        // while any level overflows.
         let snapshot = frozen.drain_sorted();
-        match self.policy {
-            MergePolicy::Flat => self.merge_flat(&generation, &snapshot),
-            MergePolicy::Leveled { fanout, max_levels } => {
-                self.merge_leveled(&generation, &snapshot, fanout, max_levels)
-            }
-        }
-    }
-
-    /// Flat policy: rebuild the whole base over base-data + snapshot.
-    fn merge_flat(&self, generation: &Generation<K>, snapshot: &[Shadow<K>]) {
-        let Some(merged) = merge_shadows_over_base(&generation.data, snapshot) else {
-            // Every record was tombstoned away: an empty base is not
-            // representable (`SortedData` is non-empty by invariant), so
-            // the tombstones stay in the delta and keep shadowing the old
-            // base. Correct, if slow, in the everything-deleted corner.
-            self.rollback(snapshot);
-            return;
-        };
-        match self.build_base(merged, Vec::new(), generation.epoch + 1) {
-            Ok(next) => self.publish(next, true, &self.merges),
-            Err(e) => self.merge_failed(snapshot, "merge rebuild", e),
-        }
-    }
-
-    /// Leveled policy: freeze the snapshot into a level-0 run, then run
-    /// bounded compactions while any level overflows.
-    fn merge_leveled(
-        &self,
-        generation: &Generation<K>,
-        snapshot: &[Shadow<K>],
-        fanout: usize,
-        max_levels: usize,
-    ) {
-        match self.build_run(snapshot) {
+        match self.build_run(&snapshot) {
             Ok(run) => {
                 let mut levels = generation.levels.clone();
                 if levels.is_empty() {
@@ -1232,9 +1197,9 @@ impl<K: Key> Shared<K> {
                 }
                 levels[0].insert(0, run);
                 self.publish(generation.restacked(levels), true, &self.merges);
-                self.compact(fanout, max_levels);
+                self.compact();
             }
-            Err(e) => self.merge_failed(snapshot, "run build", e),
+            Err(e) => self.merge_failed(&snapshot, e),
         }
     }
 
@@ -1244,13 +1209,14 @@ impl<K: Key> Shared<K> {
     /// where tombstones are finally dropped. Runs are immutable and only
     /// the merge thread replaces generations, so each step builds outside
     /// the lock and publishes with one O(1) swap.
-    fn compact(&self, fanout: usize, max_levels: usize) {
+    fn compact(&self) {
         loop {
             let generation = self.current();
+            let fanout = self.policy.fanout;
             let Some(level) = generation.levels.iter().position(|l| l.len() >= fanout) else {
                 return;
             };
-            if !self.compact_level(&generation, level, max_levels) {
+            if !self.compact_level(&generation, level) {
                 return;
             }
         }
@@ -1259,11 +1225,11 @@ impl<K: Key> Shared<K> {
     /// One compaction step: fold `level`'s runs (newest wins) into one run
     /// at the next level — or, at the bottom, into the base. Returns false
     /// when the build failed (the level is retained; retry next cycle).
-    fn compact_level(&self, generation: &Generation<K>, level: usize, max_levels: usize) -> bool {
+    fn compact_level(&self, generation: &Generation<K>, level: usize) -> bool {
         let merged = fold_runs(&generation.levels[level]);
         let mut levels = generation.levels.clone();
         levels[level].clear();
-        let bottom = level + 1 >= max_levels;
+        let bottom = level + 1 >= self.policy.max_levels;
         // Bottom level: fold into the base. Nothing older than the base
         // exists, so tombstones delete their records and are dropped.
         let folded = if bottom { merge_shadows_over_base(&generation.data, &merged) } else { None };
@@ -1298,29 +1264,15 @@ impl<K: Key> Shared<K> {
             }
         }
     }
-
-    /// Fold a drained snapshot back into the active delta (newer active
-    /// entries win) so nothing is lost, and clear the frozen pointer. The
-    /// visible count is invariant — the fold only restores shadow entries
-    /// the frozen tier already applied.
-    fn rollback(&self, snapshot: &[Shadow<K>]) {
-        let mut st = self.write();
-        for &(k, v) in snapshot {
-            if st.active.state(k).is_none() {
-                st.active.set(k, v, None);
-            }
-        }
-        st.frozen = None;
-    }
 }
 
 /// A [`QueryEngine`] over an immutable base plus a bounded mutable delta,
-/// with threshold-triggered merges — the write-behind serving tier, now
-/// with tombstoned deletes and an optional leveled run stack.
+/// with threshold-triggered merges — the write-behind serving tier, with
+/// tombstoned deletes and a leveled run stack.
 ///
 /// Construction takes two factories: one that (re)builds an immutable
-/// engine over a data array (the base, and each frozen run under
-/// [`MergePolicy::Leveled`]), and one that creates empty delta buffers.
+/// engine over a data array (the base, and each frozen run), and one that
+/// creates empty delta buffers.
 ///
 /// ```
 /// use sosd_core::testutil::{MirrorIndex, VecMap};
@@ -1329,7 +1281,7 @@ impl<K: Key> Shared<K> {
 /// use std::sync::Arc;
 ///
 /// let data = Arc::new(SortedData::with_payloads(vec![10u64, 20, 30], vec![1, 2, 3]).unwrap());
-/// let engine = WriteBehindEngine::new(
+/// let engine = WriteBehindEngine::with_policy(
 ///     data,
 ///     Arc::new(|d: Arc<SortedData<u64>>| {
 ///         Ok(Box::new(StaticEngine::new(MirrorIndex::over(&d), d)) as Box<dyn QueryEngine<u64>>)
@@ -1337,6 +1289,7 @@ impl<K: Key> Shared<K> {
 ///     Arc::new(|| Box::new(VecMap::new()) as _),
 ///     3, // merge once the delta holds three shadow entries
 ///     MergeMode::Sync,
+///     MergePolicy::leveled(4, 3),
 /// )
 /// .unwrap();
 ///
@@ -1360,28 +1313,11 @@ pub struct WriteBehindEngine<K: Key> {
 }
 
 impl<K: Key> WriteBehindEngine<K> {
-    /// Build the initial base over `data` with the flat merge policy.
+    /// Build the initial base over `data`, merging into a run stack of
+    /// the given [`MergePolicy`] shape.
     ///
     /// `merge_threshold` is the active-delta shadow-entry count that
     /// triggers a merge; it must be at least 1.
-    pub fn new(
-        data: Arc<SortedData<K>>,
-        base_factory: BaseFactory<K>,
-        delta_factory: DeltaFactory<K>,
-        merge_threshold: usize,
-        mode: MergeMode,
-    ) -> Result<Self, BuildError> {
-        Self::with_policy(
-            data,
-            base_factory,
-            delta_factory,
-            merge_threshold,
-            mode,
-            MergePolicy::Flat,
-        )
-    }
-
-    /// Build with an explicit [`MergePolicy`].
     pub fn with_policy(
         data: Arc<SortedData<K>>,
         base_factory: BaseFactory<K>,
@@ -1495,13 +1431,6 @@ impl<K: Key> WriteBehindEngine<K> {
         let SpoolManifest { page_size, epoch, base: base_name, levels: level_files, .. } =
             &manifest;
         let (page_size, epoch) = (*page_size, *epoch);
-        if !level_files.iter().all(|l| l.is_empty()) && policy == MergePolicy::Flat {
-            return Err(BuildError::InvalidConfig(
-                "flat policy cannot re-open a spool with frozen runs (their entries would \
-                 vanish at the first merge); re-open with the leveled policy"
-                    .into(),
-            ));
-        }
         type Loaded<K> = (SortedData<K>, Vec<K>, Option<BlockedBloom>, u64);
         let load = |name: &String| -> Result<Loaded<K>, BuildError> {
             let snap_err =
@@ -1769,7 +1698,7 @@ impl<K: Key> WriteBehindEngine<K> {
         self.shared.failed_merges.load(Ordering::Relaxed)
     }
 
-    /// Compaction steps completed (always 0 under [`MergePolicy::Flat`]).
+    /// Compaction steps completed (level folds and base folds).
     pub fn compactions(&self) -> u64 {
         self.shared.compactions.load(Ordering::Relaxed)
     }
@@ -1888,16 +1817,15 @@ impl<K: Key> WriteBehindEngine<K> {
         self.shared.read().generation.data.len()
     }
 
-    /// Immutable runs currently stacked above the base (always 0 under
-    /// [`MergePolicy::Flat`]). `run_count + 1` bounds the number of
-    /// engines a point read may probe after missing the delta — the read
-    /// fan-out the leveled policy trades merge work against.
+    /// Immutable runs currently stacked above the base. `run_count + 1`
+    /// bounds the number of engines a point read may probe after missing
+    /// the delta — the read fan-out the leveled policy trades merge work
+    /// against.
     pub fn run_count(&self) -> usize {
         self.shared.read().generation.run_count()
     }
 
-    /// Runs per level, newest level first (empty under
-    /// [`MergePolicy::Flat`]).
+    /// Runs per level, newest level first.
     pub fn level_run_counts(&self) -> Vec<usize> {
         let st = self.shared.read();
         st.generation.levels.iter().map(Vec::len).collect()
@@ -1912,11 +1840,6 @@ impl<K: Key> WriteBehindEngine<K> {
     /// The configured merge threshold.
     pub fn merge_threshold(&self) -> usize {
         self.shared.merge_threshold
-    }
-
-    /// The configured merge policy.
-    pub fn policy(&self) -> MergePolicy {
-        self.shared.policy
     }
 
     /// The snapshot spool directory, when persistence is on.
@@ -1983,8 +1906,8 @@ impl<K: Key> WriteBehindEngine<K> {
     /// The root content hash of the engine's *visible* logical mapping —
     /// [`PinnedView::fingerprint`] of a snapshot taken now. Two engines
     /// serving the same mapping report equal fingerprints regardless of
-    /// how their physical tiers differ (delta vs. runs vs. base, flat vs.
-    /// leveled, before vs. after a compaction).
+    /// how their physical tiers differ (delta vs. runs vs. base, one
+    /// leveled shape vs. another, before vs. after a compaction).
     pub fn fingerprint(&self) -> u64 {
         self.snapshot().fingerprint()
     }
@@ -2221,8 +2144,8 @@ impl<K: Key> PinnedView<K> {
     /// [`content_hash_fold`] per visible entry in key order, over the
     /// full ordered scan. Hash equality is logical-state equality — two
     /// pins over identical mappings fingerprint identically no matter how
-    /// their physical tiers differ (delta vs. runs vs. base, flat vs.
-    /// leveled, before vs. after a compaction), and any visible
+    /// their physical tiers differ (delta vs. runs vs. base, one leveled
+    /// shape vs. another, before vs. after a compaction), and any visible
     /// insert/remove/overwrite changes the fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut h = CONTENT_HASH_SEED;
@@ -2332,8 +2255,20 @@ mod tests {
         Arc::new(|| Box::new(VecMap::new()) as Box<dyn DynamicOrderedIndex<u64>>)
     }
 
+    /// Under `leveled(2, 1)` every second freeze folds level 0 into the
+    /// base, so the tests built on it reach the base fold.
     fn engine(keys: Vec<u64>, threshold: usize, mode: MergeMode) -> WriteBehindEngine<u64> {
-        engine_with_policy(keys, threshold, mode, MergePolicy::Flat)
+        engine_with_policy(keys, threshold, mode, MergePolicy::leveled(2, 1))
+    }
+
+    /// [`engine`]'s policy in sync mode, over explicit data and factory.
+    fn engine_over(
+        data: SortedData<u64>,
+        factory: BaseFactory<u64>,
+        threshold: usize,
+    ) -> Result<WriteBehindEngine<u64>, BuildError> {
+        let (delta, mode, policy) = (vecmap_factory(), MergeMode::Sync, MergePolicy::leveled(2, 1));
+        WriteBehindEngine::with_policy(Arc::new(data), factory, delta, threshold, mode, policy)
     }
 
     fn engine_with_policy(
@@ -2357,15 +2292,8 @@ mod tests {
 
     #[test]
     fn zero_threshold_is_rejected() {
-        let data = Arc::new(SortedData::new(vec![1u64]).unwrap());
-        assert!(WriteBehindEngine::new(
-            data,
-            mirror_factory(),
-            vecmap_factory(),
-            0,
-            MergeMode::Sync
-        )
-        .is_err());
+        let data = SortedData::new(vec![1u64]).unwrap();
+        assert!(engine_over(data, mirror_factory(), 0).is_err());
     }
 
     #[test]
@@ -2499,20 +2427,26 @@ mod tests {
     }
 
     #[test]
-    fn flat_merge_drops_tombstoned_keys() {
+    fn bottom_fold_drops_tombstoned_keys() {
         let e = engine((0..100).map(|i| i * 10).collect(), 1_000, MergeMode::Sync);
         let before = e.base_len();
         e.remove(100);
         e.remove(200);
         e.insert(5, 1);
         e.force_merge();
-        assert_eq!(e.merges_completed(), 1);
+        assert_eq!(e.run_count(), 1, "the first freeze stacks a run");
+        assert_eq!(e.base_len(), before, "tombstones keep shadowing until the fold");
+        e.insert(7, 2);
+        e.force_merge();
+        assert_eq!(e.merges_completed(), 2);
+        assert_eq!(e.compactions(), 1, "the second freeze folds level 0 into the base");
+        assert_eq!(e.run_count(), 0);
         assert_eq!(e.delta_len(), 0, "tombstones drained with the delta");
-        assert_eq!(e.base_len(), before - 2 + 1, "merge physically dropped dead keys");
+        assert_eq!(e.base_len(), before - 2 + 2, "the fold physically dropped dead keys");
         assert_eq!(e.get(100), None);
         assert_eq!(e.get(200), None);
         assert_eq!(e.get(5), Some(1));
-        assert_eq!(e.len(), before - 1);
+        assert_eq!(e.len(), before);
         // A dropped key can come back afterwards.
         assert_eq!(e.insert(100, 42), None);
         assert_eq!(e.get(100), Some(42));
@@ -2521,29 +2455,29 @@ mod tests {
     #[test]
     fn sync_merge_drains_delta_into_base() {
         let e = engine((0..100).map(|i| i * 10).collect(), 4, MergeMode::Sync);
-        for k in [5u64, 15, 25, 35] {
+        let keys: Vec<u64> = (0..8).map(|i| i * 10 + 5).collect();
+        for &k in &keys {
             e.insert(k, k + 1);
         }
-        assert_eq!(e.merges_completed(), 1);
-        assert_eq!(e.epoch(), 1);
+        assert_eq!(e.merges_completed(), 2);
+        assert_eq!(e.compactions(), 1);
+        assert_eq!(e.epoch(), 3, "two freezes and one base fold");
         assert_eq!(e.delta_len(), 0);
-        assert_eq!(e.base_len(), 104);
-        for k in [5u64, 15, 25, 35] {
+        assert_eq!(e.run_count(), 0);
+        assert_eq!(e.base_len(), 108);
+        for &k in &keys {
             assert_eq!(e.get(k), Some(k + 1), "merged entry {k}");
         }
-        assert_eq!(e.len(), 104);
+        assert_eq!(e.len(), 108);
     }
 
     #[test]
     fn merged_base_shadows_duplicate_groups() {
         // Base has a duplicate run at key 7; a delta overwrite must replace
         // the whole group both before and after the merge.
-        let data = Arc::new(
-            SortedData::with_payloads(vec![5u64, 7, 7, 7, 9], vec![1, 10, 100, 1000, 5]).unwrap(),
-        );
-        let e =
-            WriteBehindEngine::new(data, mirror_factory(), vecmap_factory(), 10, MergeMode::Sync)
-                .unwrap();
+        let data =
+            SortedData::with_payloads(vec![5u64, 7, 7, 7, 9], vec![1, 10, 100, 1000, 5]).unwrap();
+        let e = engine_over(data, mirror_factory(), 10).unwrap();
         assert_eq!(e.get(7), Some(1110), "duplicate sum before any write");
         assert_eq!(e.insert(7, 42), Some(1110), "prior visible payload is the group sum");
         assert_eq!(e.get(7), Some(42));
@@ -2551,25 +2485,29 @@ mod tests {
         assert_eq!(e.range(5, 10), vec![(5, 1), (7, 42), (9, 5)]);
         assert_eq!(e.range(5, 10).len(), e.len(), "len matches a full scan");
         e.force_merge();
-        assert_eq!(e.merges_completed(), 1);
-        assert_eq!(e.base_len(), 3, "merge collapsed the shadowed group");
+        assert_eq!(e.base_len(), 5, "a run shadows the group until the fold");
+        assert_eq!(e.get(7), Some(42));
+        assert_eq!(e.insert(7, 42), Some(42));
+        e.force_merge();
+        assert_eq!(e.compactions(), 1, "the second freeze folds into the base");
+        assert_eq!(e.base_len(), 3, "the fold collapsed the shadowed group");
         assert_eq!(e.get(7), Some(42));
         assert_eq!(e.range(5, 10), vec![(5, 1), (7, 42), (9, 5)]);
     }
 
     #[test]
     fn removing_a_duplicate_group_deletes_the_whole_group() {
-        let data = Arc::new(
-            SortedData::with_payloads(vec![5u64, 7, 7, 7, 9], vec![1, 10, 100, 1000, 5]).unwrap(),
-        );
-        let e =
-            WriteBehindEngine::new(data, mirror_factory(), vecmap_factory(), 10, MergeMode::Sync)
-                .unwrap();
+        let data =
+            SortedData::with_payloads(vec![5u64, 7, 7, 7, 9], vec![1, 10, 100, 1000, 5]).unwrap();
+        let e = engine_over(data, mirror_factory(), 10).unwrap();
         assert_eq!(e.remove(7), Some(1110), "previous visible payload is the group sum");
         assert_eq!(e.len(), 2);
         assert_eq!(e.get(7), None);
         assert_eq!(e.range(5, 10), vec![(5, 1), (9, 5)]);
         e.force_merge();
+        assert_eq!(e.insert(5, 1), Some(1));
+        e.force_merge();
+        assert_eq!(e.compactions(), 1, "the second freeze folds into the base");
         assert_eq!(e.base_len(), 2, "the whole group is physically gone");
         assert_eq!(e.len(), 2);
     }
@@ -2606,42 +2544,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn oracle_interleaved_with_forced_merges() {
+    /// Random inserts and removes under `policy`, checked against a
+    /// `BTreeMap` on get, lower_bound, range and batch as merges fire.
+    fn oracle_churn_with_forced_merges(policy: MergePolicy) {
         let base_keys: Vec<u64> = (0..500).map(|i| i * 7).collect();
-        let e = engine(base_keys.clone(), 64, MergeMode::Sync);
-        let mut oracle: BTreeMap<u64, u64> =
-            base_keys.iter().map(|&k| (k, k.wrapping_mul(3) ^ 0xA5)).collect();
-        let mut x = 12345u64;
-        for step in 0..2_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = x % 4_000;
-            if x.is_multiple_of(5) {
-                assert_eq!(e.remove(k), oracle.remove(&k), "remove {k} at step {step}");
-            } else {
-                let v = x >> 32;
-                assert_eq!(e.insert(k, v), oracle.insert(k, v), "insert {k} at step {step}");
-            }
-            if step % 97 == 0 {
-                let probe = (x >> 16) % 4_100;
-                assert_eq!(e.get(probe), oracle.get(&probe).copied(), "get {probe}");
-                let lo = probe.saturating_sub(300);
-                let want: Vec<(u64, u64)> =
-                    oracle.range(lo..probe).map(|(&k, &v)| (k, v)).collect();
-                assert_eq!(e.range(lo, probe), want, "range [{lo}, {probe})");
-            }
-        }
-        assert!(e.merges_completed() >= 3, "expected several merge cycles");
-        assert_eq!(e.len(), oracle.len());
-        let all: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(e.range(0, u64::MAX), all);
-    }
-
-    #[test]
-    fn leveled_oracle_interleaved_with_forced_merges() {
-        let base_keys: Vec<u64> = (0..500).map(|i| i * 7).collect();
-        let e =
-            engine_with_policy(base_keys.clone(), 48, MergeMode::Sync, MergePolicy::leveled(2, 2));
+        let e = engine_with_policy(base_keys.clone(), 48, MergeMode::Sync, policy);
         let mut oracle: BTreeMap<u64, u64> =
             base_keys.iter().map(|&k| (k, k.wrapping_mul(3) ^ 0xA5)).collect();
         let mut x = 999u64;
@@ -2662,18 +2569,33 @@ mod tests {
                     oracle.range(probe..).next().map(|(&k, &v)| (k, v)),
                     "lower_bound {probe}"
                 );
+                let lo = probe.saturating_sub(300);
+                let want: Vec<(u64, u64)> =
+                    oracle.range(lo..probe).map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(e.range(lo, probe), want, "range [{lo}, {probe})");
             }
         }
-        assert!(e.merges_completed() >= 3);
-        assert!(e.compactions() >= 1, "fanout 2 must have compacted");
-        assert_eq!(e.len(), oracle.len());
+        assert!(e.merges_completed() >= 3, "{policy:?}");
+        assert!(e.compactions() >= 1, "{policy:?}: fanout 2 must have compacted");
+        assert_eq!(e.len(), oracle.len(), "{policy:?}");
         let all: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(e.range(0, u64::MAX), all);
+        assert_eq!(e.range(0, u64::MAX), all, "{policy:?}");
         let batch: Vec<u64> = (0..4_100).step_by(3).collect();
         let results = e.lookup_batch(&batch);
         for (&k, got) in batch.iter().zip(&results) {
-            assert_eq!(*got, oracle.get(&k).copied(), "batch {k}");
+            assert_eq!(*got, oracle.get(&k).copied(), "{policy:?}: batch {k}");
         }
+    }
+
+    /// Level 0 is the bottom level: every second freeze folds into the base.
+    #[test]
+    fn oracle_interleaved_with_forced_merges() {
+        oracle_churn_with_forced_merges(MergePolicy::leveled(2, 1));
+    }
+
+    #[test]
+    fn leveled_oracle_interleaved_with_forced_merges() {
+        oracle_churn_with_forced_merges(MergePolicy::leveled(2, 2));
     }
 
     #[test]
@@ -2714,25 +2636,6 @@ mod tests {
     }
 
     #[test]
-    fn leveled_merged_volume_stays_below_flat() {
-        // Same write stream through both policies: the leveled stack must
-        // move strictly fewer entries per merge cycle.
-        let keys: Vec<u64> = (0..20_000).map(|i| i * 4).collect();
-        let run = |policy| {
-            let e = engine_with_policy(keys.clone(), 256, MergeMode::Sync, policy);
-            for k in 0..2_048u64 {
-                e.insert(k * 4 + 1, k);
-            }
-            e.wait_for_merges();
-            assert!(e.merges_completed() >= 4, "{policy:?}");
-            e.merged_entries() as f64 / e.merges_completed() as f64
-        };
-        let flat = run(MergePolicy::Flat);
-        let leveled = run(MergePolicy::leveled(4, 3));
-        assert!(leveled < flat, "leveled per-cycle volume {leveled} must be below flat {flat}");
-    }
-
-    #[test]
     fn background_merges_complete_and_agree_with_oracle() {
         let e = engine((0..200).map(|i| i * 5).collect(), 32, MergeMode::Background);
         let mut oracle: BTreeMap<u64, u64> =
@@ -2763,13 +2666,11 @@ mod tests {
             }
             Ok(Box::new(StaticEngine::new(MirrorIndex::over(&d), d)) as Box<dyn QueryEngine<u64>>)
         });
-        let data = Arc::new(SortedData::new(vec![10u64, 20, 30]).unwrap());
-        let e =
-            WriteBehindEngine::new(data, factory, vecmap_factory(), 100, MergeMode::Sync).unwrap();
+        let e = engine_over(SortedData::new(vec![10u64, 20, 30]).unwrap(), factory, 100).unwrap();
         e.insert(15, 1);
         e.insert(25, 2);
         e.remove(20);
-        e.force_merge(); // rebuild fails: budget of 1 was spent at construction
+        e.force_merge(); // run build fails: budget of 1 was spent at construction
         assert_eq!(e.failed_merges(), 1);
         assert_eq!(e.merges_completed(), 0);
         assert_eq!(e.epoch(), 0);
@@ -2793,18 +2694,16 @@ mod tests {
         // Under `leveled(2, 1)` level 0 is the bottom level, so its two
         // all-tombstone runs reach the bottom fold with nothing left to
         // build a base from: they must stay stacked as one shadowing run.
-        for policy in [MergePolicy::Flat, MergePolicy::leveled(2, 2), MergePolicy::leveled(2, 1)] {
+        for policy in [MergePolicy::leveled(2, 2), MergePolicy::leveled(2, 1)] {
             let e = engine_with_policy(vec![10, 20, 30], 2, MergeMode::Sync, policy);
             let p = |k: u64| k.wrapping_mul(3) ^ 0xA5;
             for k in [10u64, 20, 30] {
                 assert_eq!(e.remove(k), Some(p(k)), "{policy:?}");
             }
             e.force_merge();
-            if policy != MergePolicy::Flat {
-                assert_eq!(e.compactions(), 1, "{policy:?}");
-                assert_eq!(e.run_count(), 1, "{policy:?}");
-                assert_eq!(e.base_len(), 3, "{policy:?}: the old base stays, shadowed");
-            }
+            assert_eq!(e.compactions(), 1, "{policy:?}");
+            assert_eq!(e.run_count(), 1, "{policy:?}");
+            assert_eq!(e.base_len(), 3, "{policy:?}: the old base stays, shadowed");
             assert_eq!(e.len(), 0, "{policy:?}");
             assert_eq!(e.range(0, u64::MAX), vec![], "{policy:?}");
             assert_eq!(e.lower_bound(0), None, "{policy:?}");
@@ -2823,7 +2722,6 @@ mod tests {
         let e = engine(vec![1, 2, 3], 100, MergeMode::Sync);
         assert!(e.name().starts_with("writebehind[Mirror+"));
         assert_eq!(e.merge_threshold(), 100);
-        assert_eq!(e.policy(), MergePolicy::Flat);
         let before = e.size_bytes();
         for k in 10..200u64 {
             e.insert(k, k);
@@ -2956,24 +2854,27 @@ mod tests {
     }
 
     #[test]
-    fn flat_spool_keeps_one_base_snapshot_and_reopens() {
-        let (dir, _guard) = spool_dir("flat");
-        let e = spooled_engine((0..50).map(|i| i * 2).collect(), 4, MergePolicy::Flat, &dir);
+    fn bottom_fold_spool_keeps_one_base_snapshot_and_reopens() {
+        let (dir, _guard) = spool_dir("fold");
+        let policy = MergePolicy::leveled(2, 1);
+        let e = spooled_engine((0..50).map(|i| i * 2).collect(), 4, policy, &dir);
         for k in 0..20u64 {
-            e.insert(k * 2 + 1, k); // several merge cycles
+            e.insert(k * 2 + 1, k); // five freezes, two base folds
         }
         e.remove(0);
-        e.force_merge();
+        e.force_merge(); // the sixth freeze folds the last run and the tombstone
         e.wait_for_merges();
-        assert!(e.merges_completed() >= 2);
+        assert_eq!(e.compactions(), 3);
+        assert_eq!(e.run_count(), 0);
         let snaps: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .flatten()
             .filter_map(|f| f.file_name().to_str().map(String::from))
             .filter(|n| n.ends_with(".snap"))
             .collect();
-        assert_eq!(snaps.len(), 1, "flat spool sweeps every superseded base: {snaps:?}");
+        assert_eq!(snaps.len(), 1, "the spool sweeps every superseded base and run: {snaps:?}");
         let expect: Vec<Option<u64>> = (0..60u64).map(|k| e.get(k)).collect();
+        assert_eq!(expect[0], None, "the folded tombstone deleted key 0");
         drop(e);
         let cold = WriteBehindEngine::open_spool(
             &dir,
@@ -2981,11 +2882,11 @@ mod tests {
             vecmap_factory(),
             4,
             MergeMode::Sync,
-            MergePolicy::Flat,
+            policy,
         )
         .unwrap();
         let got: Vec<Option<u64>> = (0..60u64).map(|k| cold.get(k)).collect();
-        assert_eq!(got, expect, "flat cold re-open serves the merged base");
+        assert_eq!(got, expect, "cold re-open serves the folded base");
         assert_eq!(cold.run_count(), 0);
     }
 
@@ -3020,30 +2921,5 @@ mod tests {
             policy,
         );
         assert!(err.is_err(), "a corrupted run page must fail the cold open, not serve garbage");
-    }
-
-    #[test]
-    fn flat_reopen_of_a_leveled_spool_is_rejected() {
-        let (dir, _guard) = spool_dir("mismatch");
-        let policy = MergePolicy::leveled(4, 2);
-        let e = spooled_engine((0..100).map(|i| i * 2).collect(), 4, policy, &dir);
-        for k in 0..8u64 {
-            e.insert(k * 2 + 1, k);
-        }
-        e.wait_for_merges();
-        assert!(e.run_count() > 0);
-        drop(e);
-        assert!(
-            WriteBehindEngine::<u64>::open_spool(
-                &dir,
-                mirror_factory(),
-                vecmap_factory(),
-                4,
-                MergeMode::Sync,
-                MergePolicy::Flat,
-            )
-            .is_err(),
-            "flat policy would drop the frozen runs' entries at the first merge"
-        );
     }
 }

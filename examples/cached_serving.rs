@@ -78,12 +78,12 @@ fn main() {
     // 4. Composition over the write tier: the cached write path forwards
     //    the insert first and invalidates second, so a read after a write
     //    can never resurrect the old payload — even while a background
-    //    merge rebuilds the base underneath.
+    //    merge swaps generations underneath.
     let wb_spec = EngineSpec::WriteBehind {
         shards: 1,
         inner: Family::Rmi.default_spec::<u64>(),
         merge_threshold: 4_096,
-        policy: sosd::core::MergePolicy::Flat,
+        policy: sosd::core::MergePolicy::leveled(4, 3),
     };
     let wb = wb_spec
         .writebehind_engine(&data, SearchStrategy::Binary, MergeMode::Background)

@@ -10,14 +10,17 @@
 //! timing every candidate on every shard.
 //! It then wires the full self-tuning serving stack — advisor-driven
 //! write-behind base under a hot-key cache — drives writes and skewed reads
-//! at it, and forces a merge: the base rebuild re-advises per shard of the
-//! merged data while the visible mapping stays untouched.
+//! at it, and forces two merges: each run build and the base fold re-advise
+//! per shard of the data they index while the visible mapping stays
+//! untouched.
 //!
 //! Run with: `cargo run --release --example index_advisor`
 
-use sosd::bench::registry::{EngineSpec, Family};
+use sosd::bench::registry::{btree_delta, EngineSpec, Family};
 use sosd::core::util::splitmix64;
-use sosd::core::{CachedEngine, MergeMode, QueryEngine, SortedData};
+use sosd::core::{
+    CachedEngine, MergeMode, MergePolicy, QueryEngine, SortedData, WriteBehindEngine,
+};
 use std::sync::Arc;
 
 /// One sorted array with three very different local shapes.
@@ -67,10 +70,18 @@ fn main() {
     assert_eq!(plan.engine.get(probe), Some(data.payload_sum_at(probe)));
 
     // 3. The self-tuning serving stack: the same advisor drives the
-    //    write-behind base factory (re-advising at every rebuild), with a
-    //    hot-key cache in front.
-    let wb =
-        spec.advised_writebehind_engine(&data, 1 << 20, MergeMode::Sync).expect("stack builds");
+    //    write-behind base factory (re-advising at every run and base
+    //    build), with a hot-key cache in front. `leveled(2, 1)` folds the
+    //    run stack into the base on every second merge.
+    let wb = WriteBehindEngine::with_policy(
+        Arc::clone(&data),
+        Arc::new(advisor).base_factory(6),
+        btree_delta(),
+        1 << 20,
+        MergeMode::Sync,
+        MergePolicy::leveled(2, 1),
+    )
+    .expect("stack builds");
     let cached = CachedEngine::new(wb, 4_096, 8).expect("cache wraps");
 
     // Drive write-heavy churn plus a skewed read mix concentrated on the
@@ -88,13 +99,19 @@ fn main() {
         cached.hit_rate() * 100.0
     );
 
-    // 4. Force a merge: rebuild the base and re-advise per shard of the
-    //    *merged* data.
+    // 4. Force two merges: the first freezes the delta into a run (advised
+    //    per shard of the run), the second folds both runs into the base
+    //    and re-advises per shard of the *merged* data.
     let before = cached.get((2u64 << 40) + 8);
     cached.inner().force_merge();
+    for i in 0..1_000u64 {
+        cached.insert((4u64 << 40) + i, i);
+    }
+    cached.inner().force_merge();
+    assert_eq!(cached.inner().compactions(), 1, "the second merge folded into the base");
     assert_eq!(cached.get((2u64 << 40) + 8), before, "a rebuild never changes the mapping");
     println!(
-        "\nmerge #{} re-advised a base of {} entries; the generation swap kept every visible key identical.",
+        "\n{} merges re-advised a base of {} entries; the generation swap kept every visible key identical.",
         cached.inner().merges_completed(),
         cached.inner().base_len()
     );

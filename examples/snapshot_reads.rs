@@ -90,10 +90,11 @@ fn main() {
     );
 
     // 4. Root fingerprints: replicas that converged to the same logical
-    //    state hash identically, whatever their physical layout. A flat
-    //    replica replaying the same ops in a different order agrees with
-    //    the leveled engine above.
-    let replica = build(MergePolicy::Flat);
+    //    state hash identically, whatever their physical layout. A
+    //    `leveled(2, 1)` replica (folding into its base on every second
+    //    merge) replaying the same ops in a different order agrees with
+    //    the `leveled(4, 2)` engine above.
+    let replica = build(MergePolicy::leveled(2, 1));
     for i in (0..20_000u64).rev() {
         replica.insert(900_000 + i * 2, i);
     }
@@ -102,7 +103,7 @@ fn main() {
     }
     replica.insert(0, 999);
     println!(
-        "fingerprints: leveled {:#018x} vs flat replica {:#018x} (equal: {})",
+        "fingerprints: leveled(4, 2) {:#018x} vs leveled(2, 1) replica {:#018x} (equal: {})",
         engine.fingerprint(),
         replica.fingerprint(),
         engine.fingerprint() == replica.fingerprint()

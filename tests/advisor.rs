@@ -4,10 +4,12 @@
 //! visible mapping (the generation-swap invariant).
 
 use proptest::prelude::*;
-use sosd::bench::registry::{EngineSpec, Family};
+use sosd::bench::registry::{btree_delta, EngineSpec, Family};
 use sosd::core::advisor::{advisor_partitions, measure_candidate_ns};
 use sosd::core::util::splitmix64;
-use sosd::core::{CachedEngine, MergeMode, QueryEngine, SortedData};
+use sosd::core::{
+    CachedEngine, MergeMode, MergePolicy, QueryEngine, SortedData, WriteBehindEngine,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -110,7 +112,8 @@ proptest! {
 /// The generation-swap invariant, end to end: a full serving stack
 /// (advisor-driven write-behind base under a hot-key cache) is driven
 /// with interleaved inserts, removes, and reads; after every forced merge
-/// (each re-advises the merged base) the entire visible mapping must equal
+/// (each re-advises its new run, every second one also the folded base)
+/// the entire visible mapping must equal
 /// a BTreeMap oracle's — a re-pick may swap every per-shard index, but
 /// never an answer.
 #[test]
@@ -124,9 +127,18 @@ fn retuning_under_churn_never_changes_the_mapping() {
         *oracle.entry(k).or_insert(0) = data.payload_sum_at(k);
     }
 
-    let spec = auto_spec(5);
-    let wb =
-        spec.advised_writebehind_engine(&data, 1 << 14, MergeMode::Sync).expect("stack builds");
+    // Every run build and every base fold re-advises; `leveled(2, 1)`
+    // folds into the base on every second freeze.
+    let advisor = Arc::new(auto_spec(5).advisor::<u64>().expect("pool is non-empty"));
+    let wb = WriteBehindEngine::with_policy(
+        Arc::clone(&data),
+        advisor.base_factory(5),
+        btree_delta(),
+        1 << 14,
+        MergeMode::Sync,
+        MergePolicy::leveled(2, 1),
+    )
+    .expect("stack builds");
     let engine = CachedEngine::new(wb, 2_048, 8).expect("cache wraps");
 
     let probe_keys: Vec<u64> = (0..data.len()).step_by(61).map(|i| data.key(i)).collect();
@@ -160,4 +172,5 @@ fn retuning_under_churn_never_changes_the_mapping() {
         assert!(engine.inner().merges_completed() > merges_before, "forced merge re-advises");
         check(&format!("after forced merge round {round}"), &oracle);
     }
+    assert!(engine.inner().compactions() >= 1, "no base fold re-advised the merged base");
 }

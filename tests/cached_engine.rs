@@ -31,7 +31,7 @@ fn build(
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
         merge_threshold: threshold,
-        policy: MergePolicy::Flat,
+        policy: MergePolicy::leveled(2, 1),
     };
     let wb = spec.writebehind_engine(&data, SearchStrategy::Binary, mode).expect("builds");
     (CachedEngine::new(wb, capacity, 4).expect("cache builds"), oracle)
@@ -203,7 +203,7 @@ fn negative_entries_are_invalidated_by_writes_over_writebehind() {
         shards: 1,
         inner: Family::Pgm.default_spec::<u64>(),
         merge_threshold: 64,
-        policy: MergePolicy::Flat,
+        policy: MergePolicy::leveled(2, 1),
     };
     for mode in [MergeMode::Sync, MergeMode::Background] {
         let mut oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k + 7)).collect();
@@ -292,7 +292,7 @@ fn concurrent_reads_never_go_backwards_under_merges() {
         shards: 1,
         inner: Family::BTree.default_spec::<u64>(),
         merge_threshold: 150,
-        policy: MergePolicy::Flat,
+        policy: MergePolicy::leveled(2, 1),
     };
     let wb = spec
         .writebehind_engine(&data, SearchStrategy::Binary, MergeMode::Background)
@@ -407,7 +407,7 @@ fn zipf_reads_mostly_hit_a_small_cache_over_every_layout() {
             shards: 1,
             inner: rmi,
             merge_threshold: 1 << 40,
-            policy: MergePolicy::Flat,
+            policy: MergePolicy::leveled(2, 1),
         },
     ];
     for inner in layouts {

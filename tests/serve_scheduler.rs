@@ -33,7 +33,7 @@ fn build_writebehind(
         // Effectively unbounded: removes stay live as delta tombstones, the
         // case the scheduler must relay as None rather than a stale payload.
         merge_threshold: 1 << 40,
-        policy: MergePolicy::Flat,
+        policy: MergePolicy::leveled(2, 1),
     };
     let wb =
         spec.writebehind_engine(&data, SearchStrategy::Binary, MergeMode::Sync).expect("builds");

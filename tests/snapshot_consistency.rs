@@ -178,13 +178,16 @@ proptest! {
 #[test]
 fn pins_survive_a_retune() {
     let keys: Vec<u64> = (0..500u64).map(|i| i * 7).collect();
-    let (engine, mut mirror) = build(&keys, 32, MergeMode::Sync, MergePolicy::Flat);
+    let (engine, mut mirror) = build(&keys, 32, MergeMode::Sync, MergePolicy::leveled(2, 1));
     for i in 0..20u64 {
         apply(&engine, &mut mirror, (i * 7 + 1, Some(i)));
+        if i == 9 {
+            engine.force_merge(); // the first run; the next freeze folds
+        }
     }
     let pin = engine.snapshot();
     engine.force_merge();
-    assert_eq!(engine.merges_completed(), 1, "the forced merge rebuilt the base");
+    assert_eq!(engine.compactions(), 1, "the second forced merge rebuilt the base");
     let probes: Vec<u64> = (0..600u64).map(|i| i * 7).chain((0..20).map(|i| i * 7 + 1)).collect();
     assert_pin_matches(&pin, &mirror, &probes);
     assert_eq!(engine.fingerprint(), pin.fingerprint(), "a rebuild changed the visible mapping");
@@ -196,7 +199,7 @@ fn pins_survive_a_retune() {
 #[test]
 fn dropped_pins_release_their_generation() {
     let keys: Vec<u64> = (0..200u64).map(|i| i * 3).collect();
-    let (engine, mut mirror) = build(&keys, 8, MergeMode::Sync, MergePolicy::Flat);
+    let (engine, mut mirror) = build(&keys, 8, MergeMode::Sync, MergePolicy::leveled(2, 1));
     // Advance past the construction-time generation (whose data the test
     // harness itself still references) before pinning.
     for i in 0..16u64 {
@@ -457,7 +460,7 @@ fn spool_verify_catches_tampering() {
 fn identical_logical_state_fingerprints_equal() {
     let keys: Vec<u64> = (0..800u64).map(|i| i * 11).collect();
     let (a, _) = build(&keys, 8, MergeMode::Sync, MergePolicy::leveled(2, 3));
-    let (b, _) = build(&keys, 64, MergeMode::Sync, MergePolicy::Flat);
+    let (b, _) = build(&keys, 64, MergeMode::Sync, MergePolicy::leveled(2, 1));
 
     // Same logical ops, different order and interleaving.
     for i in 0..120u64 {

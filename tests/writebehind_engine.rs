@@ -1,6 +1,6 @@
 //! Integration suite for the write-behind engine: `BTreeMap`-oracle
 //! property tests with merges forced mid-sequence (in both merge modes and
-//! both merge policies), interleaved insert/remove/re-insert churn through
+//! two leveled shapes), interleaved insert/remove/re-insert churn through
 //! the tombstone path across compaction cycles, and a torn-read regression
 //! proving that a background merge concurrent with an in-flight batched
 //! read yields pre- or post-merge-consistent payloads — never a window
@@ -16,14 +16,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Build a write-behind engine over `keys` (payload = position, like
-/// `SortedData::new`... but explicit so the oracle can reproduce it).
+/// `SortedData::new`... but explicit so the oracle can reproduce it),
+/// under `leveled(2, 1)`: every second freeze folds into the base.
 fn build(
     keys: &[u64],
     threshold: usize,
     shards: usize,
     mode: MergeMode,
 ) -> (WriteBehindEngine<u64>, BTreeMap<u64, u64>) {
-    build_with_policy(keys, threshold, shards, mode, MergePolicy::Flat)
+    build_with_policy(keys, threshold, shards, mode, MergePolicy::leveled(2, 1))
 }
 
 fn build_with_policy(
@@ -100,8 +101,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Interleaved insert/remove/re-insert churn against the `BTreeMap`
-    /// oracle, in both merge policies × both merge modes, driven through
-    /// at least 3 merge cycles (and, leveled, at least 3 compactions).
+    /// oracle, in two leveled shapes × both merge modes, driven through
+    /// at least 3 merge cycles and at least 3 compactions.
     /// Every write's returned previous payload and every probe must agree
     /// with the oracle at every step — including the two classic traps:
     /// re-inserting a tombstoned key (must look like a fresh insert and
@@ -113,8 +114,8 @@ proptest! {
         ops in churn_stream(),
     ) {
         let combos = [
-            (MergePolicy::Flat, MergeMode::Sync),
-            (MergePolicy::Flat, MergeMode::Background),
+            (MergePolicy::leveled(2, 1), MergeMode::Sync),
+            (MergePolicy::leveled(2, 1), MergeMode::Background),
             (MergePolicy::leveled(2, 2), MergeMode::Sync),
             (MergePolicy::leveled(2, 2), MergeMode::Background),
         ];
@@ -154,10 +155,9 @@ proptest! {
             }
             // Drive the cycle count regardless of stream length: the
             // tombstone-then-re-insert trap, replayed until >= 3 merge
-            // cycles and (leveled, fanout 2) >= 3 compactions completed.
-            let target_compactions = if policy == MergePolicy::Flat { 0 } else { 3 };
+            // cycles and (fanout 2) >= 3 compactions completed.
             let mut filler = 0x7EED_0000u64;
-            while engine.merges_completed() < 3 || engine.compactions() < target_compactions {
+            while engine.merges_completed() < 3 || engine.compactions() < 3 {
                 filler += 1;
                 let v = filler ^ 0x5A5A;
                 prop_assert_eq!(engine.insert(filler, v), oracle.insert(filler, v));
@@ -168,9 +168,7 @@ proptest! {
                 }
             }
             // A final value write plus an explicit drain: the loop may have
-            // exited with sub-threshold leftovers in the active delta, and
-            // the value guarantees the flat fold has a non-empty output
-            // even when the churn deleted every other key.
+            // exited with sub-threshold leftovers in the active delta.
             prop_assert_eq!(engine.insert(7_777_777, 42), oracle.insert(7_777_777, 42));
             engine.wait_for_merges();
             engine.force_merge();
@@ -483,7 +481,7 @@ fn boxed_writebehind_engines_are_first_class() {
         shards: 2,
         inner: Family::Rmi.default_spec::<u64>(),
         merge_threshold: 1_000,
-        policy: MergePolicy::Flat,
+        policy: MergePolicy::leveled(4, 3),
     };
     let engine = spec.engine(&data, SearchStrategy::Binary).expect("builds");
     assert_eq!(engine.len(), 5_000);
