@@ -309,13 +309,13 @@ pub enum EngineSpec {
         /// The shape of the leveled run stack merges fold the delta into.
         policy: MergePolicy,
     },
-    /// Hot-key cached serving: a bounded, lock-striped
+    /// Hot-key cached serving: a bounded, set-associative
     /// [`CachedEngine`] result cache in front of `inner` (which may itself
     /// be single, sharded, or write-behind).
     Cached {
-        /// Total cache entry budget (split over the stripes).
+        /// Total cache entry budget (rounded up to whole six-way sets).
         capacity: usize,
-        /// Requested lock-stripe count (rounded up to a power of two).
+        /// Hit/miss counter slots (rounded up to a power of two).
         stripes: usize,
         /// Cache absent-key results as negative entries.
         negative: bool,

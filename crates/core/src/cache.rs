@@ -11,17 +11,22 @@
 //!
 //! # Design
 //!
-//! * **Lock striping.** The cache is split into power-of-two stripes, each
-//!   an independently locked table, with keys routed by a mixed hash. Point
-//!   probes from concurrent serving threads only contend when they collide
-//!   on a stripe, and no probe ever takes more than one stripe lock.
-//! * **CLOCK eviction.** Each stripe evicts with the CLOCK (second-chance)
-//!   policy: a hit only sets a reference bit, and the fill path sweeps a
-//!   hand that demotes referenced entries before evicting an unreferenced
-//!   one. CLOCK is chosen over segmented LRU because it approximates LRU's
-//!   hit rate while keeping the *hit* path O(1) with no list surgery under
-//!   the stripe lock — hits are the whole point of the cache, so they must
-//!   stay at one hash probe plus one bit store.
+//! * **Seqlock sets.** The cache is one preallocated table of 128-byte
+//!   sets, six ways each; a key's set is `splitmix64(key)` multiplied and
+//!   shifted over the set count. Readers never lock: a probe loads the
+//!   set's sequence number, reads the ways, and re-reads the sequence,
+//!   retrying if a writer (a fill, an invalidation, `clear`) held the set
+//!   meanwhile — writers hold a set by making its sequence odd. So a hit
+//!   executes no locked instruction and writes nothing shared except a
+//!   clear reference bit, and a probe cannot return one fill's key with
+//!   another fill's payload. Hits and misses are counted in per-thread
+//!   slots on their own cache lines and summed on read.
+//! * **CLOCK eviction, per set.** Each set evicts with the CLOCK
+//!   (second-chance) policy over its ways: a hit only sets a reference
+//!   bit, and a fill into a full set sweeps the set's hand, demoting
+//!   referenced ways before evicting an unreferenced one. CLOCK keeps the
+//!   *hit* path at one set probe plus at most one bit store — hits are the
+//!   whole point of the cache.
 //! * **Misses fall through.** A miss consults the inner engine and
 //!   populates the cache. [`CachedEngine::get_batch`] partitions hits from
 //!   misses and hands the *whole miss set* to the inner engine's own
@@ -35,11 +40,10 @@
 //!   evict hot results); [`CachedEngine::with_negative`] flips a miss on
 //!   an absent key into a **negative entry** that answers later probes of
 //!   that key from the cache — the right trade for miss-heavy serving
-//!   traffic. Negative entries ride the same slots, CLOCK policy, and
-//!   version-fenced invalidation as values, so an insert of a
-//!   negatively-cached key invalidates the entry exactly like a payload
-//!   overwrite (rule 1 below) and a racing fill of stale absence is
-//!   discarded (rule 2).
+//!   traffic. Negative entries ride the same ways, CLOCK policy, and
+//!   fenced invalidation as values, so an insert of a negatively-cached
+//!   key invalidates the entry exactly like a payload overwrite (rule 1
+//!   below) and a racing fill of stale absence is discarded (rule 2).
 //! * **A non-filling [`CachedEngine::peek`]** answers "is this key cached
 //!   right now" without falling through — the probe the serving layer's
 //!   hit-fast path (`sosd_core::serve`) runs at submit time so a cache
@@ -56,18 +60,18 @@
 //! longer holds. Two rules guarantee it:
 //!
 //! 1. **Writers invalidate after the write.** [`CachedEngine::insert`]
-//!    forwards to the inner write path *first*, then removes the key from
-//!    its stripe and bumps the stripe's **version counter** — so once the
+//!    forwards to the inner write path *first*, then, holding the key's
+//!    set, removes the key and bumps the set's **fence** — so once the
 //!    insert returns, no cached copy of the old payload exists.
-//! 2. **Fills are version-checked.** A miss records its stripe's version
-//!    *before* probing the inner engine and re-checks it under the lock
-//!    when filling; a concurrent invalidation in between (version bumped)
-//!    discards the fill. Without the check, a reader could probe the inner
-//!    engine, lose the CPU, and fill a payload that a racing writer
-//!    overwrote and invalidated in the meantime — the classic stale-fill
-//!    race. The version bumps on *every* invalidation, cached or not,
-//!    because the endangered fill is precisely for a key that is not in
-//!    the cache yet.
+//! 2. **Fills are fence-checked.** A miss returns the fence it read in the
+//!    same consistent snapshot of the set as the lookup, *before* probing
+//!    the inner engine, and the fill re-checks it while holding the set; a
+//!    concurrent invalidation in between (fence bumped) discards the fill.
+//!    Without the check, a reader could probe the inner engine, lose the
+//!    CPU, and fill a payload that a racing writer overwrote and
+//!    invalidated in the meantime — the classic stale-fill race. The fence
+//!    bumps on *every* invalidation, cached or not, because the endangered
+//!    fill is precisely for a key that is not in the cache yet.
 //!
 //! Background merges need no invalidation at all: a write-behind merge
 //! folds the delta into a rebuilt base without changing the visible
@@ -80,136 +84,180 @@ use crate::error::BuildError;
 use crate::key::Key;
 use crate::util::splitmix64;
 use crate::writebehind::WriteBehindEngine;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::marker::PhantomData;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
 
-/// Cheap multiply-mix hasher for the per-stripe index (keys are already
-/// integers; SipHash would dominate the hit path). Not DoS-resistant —
-/// cache keys come from the workload, not an adversary.
+/// Entries per set: the most that fit a 128-byte set beside its header
+/// (21.3 bytes per entry).
+const WAYS: usize = 6;
+
+/// One cache set: [`WAYS`] entries behind a sequence lock. Everything a
+/// reader loads is atomic, so an optimistic read that overlaps a writer is
+/// a retry, never undefined behaviour. Aligned to the adjacent-line pair,
+/// so a probe touches no other set's lines.
+#[repr(C, align(128))]
 #[derive(Default)]
-pub struct MixHasher {
-    state: u64,
+struct Set {
+    /// Odd while a writer holds the set; every write section bumps it by 2.
+    seq: AtomicU32,
+    /// Bumped by every invalidation; a fill recorded under an older fence
+    /// is discarded (see the module docs on the stale-fill race).
+    fence: AtomicU32,
+    /// Bit `w`: way `w` holds an entry.
+    valid: AtomicU8,
+    /// Bit `w`: way `w` is a **negative entry** (key known absent; only
+    /// stored when negative caching is enabled).
+    negative: AtomicU8,
+    /// The CLOCK hand: next eviction candidate (writers only).
+    hand: AtomicU8,
+    /// The CLOCK second-chance bits: set on hit, cleared by the sweeping
+    /// hand, which evicts the first way it finds already clear.
+    referenced: [AtomicBool; WAYS],
+    keys: [AtomicU64; WAYS],
+    payloads: [AtomicU64; WAYS],
 }
 
-impl Hasher for MixHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = splitmix64(self.state ^ b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.state = splitmix64(self.state ^ v);
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
+/// Spin briefly, then yield: a writer holding a set may have lost its CPU.
+fn backoff(spins: &mut u32) {
+    *spins += 1;
+    if *spins < 64 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
     }
 }
 
-type MixBuild = BuildHasherDefault<MixHasher>;
-
-/// One CLOCK ring entry. `value` is the cached `get` result: `Some` a
-/// payload sum, `None` a **negative entry** (key known absent; only stored
-/// when negative caching is enabled).
-///
-/// Aligned to its size, so no slot straddles a cache line: a `Vec`
-/// allocation is only 16-byte aligned, and at a 32-byte stride from there
-/// every other slot has `value` on one line and `referenced` on the next —
-/// one more miss per cold hit (`mixed-rw` `get_ns_p50` 192 → 220 ns in 10
-/// of 10 A/B pairs without the attribute, level with it).
-#[repr(align(32))]
-struct Slot<K> {
-    key: K,
-    value: Option<u64>,
-    /// The CLOCK second-chance bit: set on hit, cleared by the sweeping
-    /// hand, which evicts the first entry it finds already clear.
-    referenced: bool,
-}
-
-/// One independently locked cache partition.
-struct StripeState<K> {
-    /// Key → slot index in `slots`.
-    map: HashMap<K, usize, MixBuild>,
-    /// The CLOCK ring (grows up to the stripe capacity, then recycles).
-    slots: Vec<Slot<K>>,
-    /// The CLOCK hand: next eviction candidate.
-    hand: usize,
-    /// Bumped on every invalidation; fills recorded under an older version
-    /// are discarded (see the module docs on the stale-fill race).
-    version: u64,
-}
-
-impl<K: Key> StripeState<K> {
-    /// Cached `get` result for `key`: outer `None` = not cached, inner
-    /// `None` = negative entry (known absent).
-    fn probe(&mut self, key: K) -> Option<Option<u64>> {
-        let &i = self.map.get(&key)?;
-        self.slots[i].referenced = true;
-        Some(self.slots[i].value)
+impl Set {
+    /// The valid way holding `key`, if any.
+    #[inline]
+    fn way(&self, valid: u8, key: u64) -> Option<usize> {
+        (0..WAYS).find(|&w| valid >> w & 1 == 1 && self.keys[w].load(Relaxed) == key)
     }
 
-    /// Insert `key → value`, evicting via CLOCK when at `cap`.
-    fn fill(&mut self, key: K, value: Option<u64>, cap: usize) {
-        if let Some(&i) = self.map.get(&key) {
-            // A racing reader of the same key filled first; the values are
-            // identical (same stripe version ⇒ same inner state).
-            self.slots[i].value = value;
-            return;
-        }
-        if self.slots.len() < cap {
-            self.map.insert(key, self.slots.len());
-            self.slots.push(Slot { key, value, referenced: false });
-            return;
-        }
-        // CLOCK sweep: clear reference bits until an unreferenced victim
-        // is found (at most one revolution plus one step).
+    /// Optimistic probe: `Ok(result)` on a hit (`Ok(None)` = negative
+    /// entry), `Err(fence)` on a miss, read in one consistent snapshot.
+    ///
+    /// Ordering: the writer's `fence(Release)` after making `seq` odd pairs
+    /// with this `fence(Acquire)`, so a read that saw any store of a write
+    /// section re-reads an odd or newer `seq` and retries; the writer's
+    /// closing `Release` store of `seq` pairs with the first `Acquire` load
+    /// here, so a read that starts after a section sees all of its stores.
+    #[inline]
+    fn read(&self, key: u64) -> Result<Option<u64>, u32> {
+        let mut spins = 0;
         loop {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            if self.slots[i].referenced {
-                self.slots[i].referenced = false;
-            } else {
-                self.map.remove(&self.slots[i].key);
-                self.map.insert(key, i);
-                self.slots[i] = Slot { key, value, referenced: false };
+            let seq = self.seq.load(Acquire);
+            if seq & 1 == 0 {
+                let r = match self.way(self.valid.load(Relaxed), key) {
+                    Some(w) => Ok((w, self.payloads[w].load(Relaxed), self.negative.load(Relaxed))),
+                    None => Err(self.fence.load(Relaxed)),
+                };
+                fence(Acquire);
+                if self.seq.load(Relaxed) == seq {
+                    return r.map(|(w, payload, negative)| {
+                        if !self.referenced[w].load(Relaxed) {
+                            self.referenced[w].store(true, Relaxed);
+                        }
+                        (negative >> w & 1 == 0).then_some(payload)
+                    });
+                }
+            }
+            backoff(&mut spins);
+        }
+    }
+
+    /// Run `f` holding the set: readers retry until it returns.
+    fn write(&self, f: impl FnOnce(&Set)) {
+        let mut spins = 0;
+        let seq = loop {
+            let seq = self.seq.load(Relaxed);
+            if seq & 1 == 0
+                && self.seq.compare_exchange_weak(seq, seq + 1, Acquire, Relaxed).is_ok()
+            {
+                break seq;
+            }
+            backoff(&mut spins);
+        };
+        fence(Release);
+        f(self);
+        self.seq.store(seq.wrapping_add(2), Release);
+    }
+
+    /// Insert `key → value` unless the fence moved past `fence`, evicting
+    /// via CLOCK when every way is full.
+    fn fill(&self, key: u64, value: Option<u64>, fence: u32) {
+        self.write(|s| {
+            if s.fence.load(Relaxed) != fence {
                 return;
             }
+            let valid = s.valid.load(Relaxed);
+            // A racing reader of the same key may have filled first; the
+            // values are identical (same fence ⇒ same inner state).
+            let w = s.way(valid, key).unwrap_or_else(|| {
+                let w = (0..WAYS).find(|&w| valid >> w & 1 == 0).unwrap_or_else(|| s.victim());
+                s.referenced[w].store(false, Relaxed);
+                s.keys[w].store(key, Relaxed);
+                w
+            });
+            s.payloads[w].store(value.unwrap_or(0), Relaxed);
+            let (bit, negative) = (1u8 << w, s.negative.load(Relaxed));
+            s.negative
+                .store(if value.is_none() { negative | bit } else { negative & !bit }, Relaxed);
+            s.valid.store(valid | bit, Relaxed);
+        });
+    }
+
+    /// CLOCK sweep of a full set: clear reference bits until an
+    /// unreferenced way is found (at most one revolution plus one step).
+    fn victim(&self) -> usize {
+        loop {
+            let w = self.hand.load(Relaxed) as usize;
+            self.hand.store(((w + 1) % WAYS) as u8, Relaxed);
+            if !self.referenced[w].load(Relaxed) {
+                return w;
+            }
+            self.referenced[w].store(false, Relaxed);
         }
     }
 
-    /// Drop `key` if cached; always bump the version so in-flight fills
-    /// for this stripe (cached or not) are discarded.
-    fn invalidate(&mut self, key: K) {
-        self.version = self.version.wrapping_add(1);
-        let Some(i) = self.map.remove(&key) else {
-            return;
-        };
-        self.slots.swap_remove(i);
-        if i < self.slots.len() {
-            self.map.insert(self.slots[i].key, i);
-        }
-        if self.hand >= self.slots.len() {
-            self.hand = 0;
-        }
+    /// Drop `key` if cached, or every way when `key` is `None`; always bump
+    /// the fence so in-flight fills for this set (cached or not) are
+    /// discarded.
+    fn invalidate(&self, key: Option<u64>) {
+        self.write(|s| {
+            s.fence.store(s.fence.load(Relaxed).wrapping_add(1), Relaxed);
+            let valid = s.valid.load(Relaxed);
+            match key {
+                Some(key) => {
+                    if let Some(w) = s.way(valid, key) {
+                        s.valid.store(valid & !(1 << w), Relaxed);
+                    }
+                }
+                None => s.valid.store(0, Relaxed),
+            }
+        });
     }
 }
 
-/// A bounded, lock-striped hot-key result cache in front of any
+/// One counter slot's hit and miss counts, padded to the adjacent-line pair
+/// so threads in different slots never write the same line.
+#[repr(align(128))]
+#[derive(Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+thread_local! {
+    /// This thread's counter slot (before masking), dealt round robin.
+    static COUNTER_SLOT: usize = {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        NEXT.fetch_add(1, Relaxed)
+    };
+}
+
+/// A bounded, set-associative hot-key result cache in front of any
 /// [`QueryEngine`] — the serving stack's answer to Zipf-skewed read
 /// traffic. See the module docs for the design and the no-stale-hit
 /// protocol.
@@ -236,22 +284,22 @@ impl<K: Key> StripeState<K> {
 /// ```
 pub struct CachedEngine<K: Key, E: QueryEngine<K> = Box<dyn QueryEngine<K>>> {
     inner: E,
-    stripes: Vec<Mutex<StripeState<K>>>,
-    /// Per-stripe entry budget (total capacity split evenly).
-    stripe_cap: usize,
+    sets: Box<[Set]>,
+    /// Hit/miss counter slots (a power of two; threads pick one by
+    /// [`COUNTER_SLOT`]).
+    counters: Box<[Counters]>,
     /// Whether misses on absent keys fill negative entries.
     negative: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    key: PhantomData<fn(K)>,
 }
 
 impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
-    /// Wrap `inner` with a cache of ~`capacity` entries split over
-    /// `stripes` lock partitions (rounded up to a power of two, capped so
-    /// each stripe holds at least one entry; the effective capacity —
-    /// [`CachedEngine::capacity`] — rounds `capacity` up to a multiple of
-    /// the stripe count). `capacity` and `stripes` must both be at least
-    /// 1. Negative caching is off; see [`CachedEngine::with_negative`].
+    /// Wrap `inner` with a cache of ~`capacity` entries. The effective
+    /// capacity — [`CachedEngine::capacity`] — rounds `capacity` up to a
+    /// whole number of six-way sets. `stripes` only sizes the hit/miss
+    /// counter slots (clamped to `capacity`, then rounded up to a power of
+    /// two). `capacity` and `stripes` must both be at least 1. Negative
+    /// caching is off; see [`CachedEngine::with_negative`].
     pub fn new(inner: E, capacity: usize, stripes: usize) -> Result<Self, BuildError> {
         Self::with_negative(inner, capacity, stripes, false)
     }
@@ -261,11 +309,10 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
     /// a negative entry, so repeated probes of an absent key are answered
     /// by the cache instead of re-verifying absence through the engine —
     /// miss-heavy open-loop traffic is exactly where this pays. Negative
-    /// entries obey the same version-fenced invalidation as values: a
-    /// later `insert` of the key drops the entry and fences in-flight
-    /// fills, so absence can never shadow a new write. Off by default
-    /// because each negative entry occupies a slot a hot *present* key
-    /// could use.
+    /// entries obey the same fenced invalidation as values: a later
+    /// `insert` of the key drops the entry and fences in-flight fills, so
+    /// absence can never shadow a new write. Off by default because each
+    /// negative entry occupies a way a hot *present* key could use.
     pub fn with_negative(
         inner: E,
         capacity: usize,
@@ -278,26 +325,10 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
         if stripes == 0 {
             return Err(BuildError::InvalidConfig("cache stripes must be >= 1".into()));
         }
-        let stripes = stripes.min(capacity).next_power_of_two();
-        let stripe_cap = capacity.div_ceil(stripes);
-        let stripes = (0..stripes)
-            .map(|_| {
-                Mutex::new(StripeState {
-                    map: HashMap::with_hasher(MixBuild::default()),
-                    slots: Vec::new(),
-                    hand: 0,
-                    version: 0,
-                })
-            })
-            .collect();
-        Ok(CachedEngine {
-            inner,
-            stripes,
-            stripe_cap,
-            negative,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
+        let sets = (0..capacity.div_ceil(WAYS)).map(|_| Set::default()).collect();
+        let slots = stripes.min(capacity).next_power_of_two();
+        let counters = (0..slots).map(|_| Counters::default()).collect();
+        Ok(CachedEngine { inner, sets, counters, negative, key: PhantomData })
     }
 
     /// The wrapped engine.
@@ -310,29 +341,29 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
         self.negative
     }
 
-    /// Total entry budget across all stripes.
+    /// Total entry budget: every way of every set.
     pub fn capacity(&self) -> usize {
-        self.stripe_cap * self.stripes.len()
+        self.sets.len() * WAYS
     }
 
-    /// Number of lock stripes (a power of two).
+    /// Number of hit/miss counter slots (a power of two).
     pub fn num_stripes(&self) -> usize {
-        self.stripes.len()
+        self.counters.len()
     }
 
     /// Entries currently cached.
     pub fn cached_len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().expect("cache stripe").slots.len()).sum()
+        self.sets.iter().map(|s| s.valid.load(Relaxed).count_ones() as usize).sum()
     }
 
     /// Cache hits served since construction.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.counters.iter().map(|c| c.hits.load(Relaxed)).sum()
     }
 
     /// Misses (probes that fell through to the inner engine).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.counters.iter().map(|c| c.misses.load(Relaxed)).sum()
     }
 
     /// Hits as a fraction of all point probes (0 when nothing was probed).
@@ -347,59 +378,52 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
     }
 
     /// Drop `key`'s cached result (if any) and fence concurrent fills of
-    /// this stripe — the writer half of the no-stale-hit protocol. Call
+    /// its set — the writer half of the no-stale-hit protocol. Call
     /// *after* the inner engine's write is visible.
     pub fn invalidate(&self, key: K) {
-        self.stripe(key).lock().expect("cache stripe").invalidate(key);
+        self.set(key).invalidate(Some(key.to_u64()));
     }
 
     /// Drop every cached entry (and fence all in-flight fills).
     pub fn clear(&self) {
-        for s in &self.stripes {
-            let mut st = s.lock().expect("cache stripe");
-            st.version = st.version.wrapping_add(1);
-            st.map.clear();
-            st.slots.clear();
-            st.hand = 0;
+        for s in self.sets.iter() {
+            s.invalidate(None);
         }
     }
 
     /// Reset the hit/miss counters (e.g. between a warmup and a timed
     /// pass); cached entries are kept.
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        for c in self.counters.iter() {
+            c.hits.store(0, Relaxed);
+            c.misses.store(0, Relaxed);
+        }
     }
 
     #[inline]
-    fn stripe(&self, key: K) -> &Mutex<StripeState<K>> {
-        // Mix before masking (dataset keys are often sequential), and
-        // route on bits 32.. of the mix: the per-stripe `HashMap` derives
-        // its bucket index from the *low* bits of the same `splitmix64`
-        // (via `MixHasher`), so selecting stripes from the low bits would
-        // pin every key in stripe `r` to bucket indexes `≡ r (mod
-        // stripes)` — clustering the table the hit path probes. Disjoint
-        // bit ranges keep the two placements independent.
-        let h = splitmix64(key.to_u64());
-        &self.stripes[(h >> 32) as usize & (self.stripes.len() - 1)]
+    fn set(&self, key: K) -> &Set {
+        // Mix first (dataset keys are often sequential), then map the mix
+        // onto the set count with a multiply-shift instead of a modulo.
+        let h = splitmix64(key.to_u64()) as u128;
+        &self.sets[((h * self.sets.len() as u128) >> 64) as usize]
+    }
+
+    /// This thread's counter slot.
+    #[inline]
+    fn counters(&self) -> &Counters {
+        &self.counters[COUNTER_SLOT.with(|&i| i) & (self.counters.len() - 1)]
     }
 
     /// Cache probe: `Ok(result)` on a hit (`Ok(None)` = negative entry),
-    /// `Err(version)` on a miss (the stripe version to hand back to
+    /// `Err(fence)` on a miss (the set fence to hand back to
     /// [`CachedEngine::fill_checked`]).
     #[inline]
-    fn probe(&self, key: K) -> Result<Option<u64>, u64> {
-        let mut st = self.stripe(key).lock().expect("cache stripe");
-        match st.probe(key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Err(st.version)
-            }
-        }
+    fn probe(&self, key: K) -> Result<Option<u64>, u32> {
+        let r = self.set(key).read(key.to_u64());
+        let c = self.counters();
+        let count = if r.is_ok() { &c.hits } else { &c.misses };
+        count.fetch_add(1, Relaxed);
+        r
     }
 
     /// Non-filling, non-falling-through probe: `Some(result)` if `key` is
@@ -412,32 +436,27 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
     /// [`hits`]: CachedEngine::hits
     #[inline]
     pub fn peek(&self, key: K) -> Option<Option<u64>> {
-        let mut st = self.stripe(key).lock().expect("cache stripe");
-        let r = st.probe(key);
+        let r = self.set(key).read(key.to_u64()).ok();
         if r.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters().hits.fetch_add(1, Relaxed);
         }
         r
     }
 
-    /// Fill after a miss, discarded when the stripe version moved past
-    /// `version` (a writer invalidated between the probe and this fill).
+    /// Fill after a miss, discarded when the set fence moved past `fence`
+    /// (a writer invalidated between the probe and this fill).
     /// `value = None` (a negative entry) is only stored in negative mode.
     #[inline]
-    fn fill_checked(&self, key: K, value: Option<u64>, version: u64) {
-        if value.is_none() && !self.negative {
-            return;
-        }
-        let mut st = self.stripe(key).lock().expect("cache stripe");
-        if st.version == version {
-            st.fill(key, value, self.stripe_cap);
+    fn fill_checked(&self, key: K, value: Option<u64>, fence: u32) {
+        if value.is_some() || self.negative {
+            self.set(key).fill(key.to_u64(), value, fence);
         }
     }
 
     /// The hit/miss-partitioned batch shared by [`QueryEngine::get_batch`]
     /// and [`QueryEngine::par_get_batch`]: hits (including negative
-    /// entries) answer from the stripes, and the whole miss set goes to
-    /// the inner engine through `exec` in one call.
+    /// entries) answer from the sets, and the whole miss set goes to the
+    /// inner engine through `exec` in one call.
     fn get_batch_via(
         &self,
         keys: &[K],
@@ -450,13 +469,13 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
         let start = out.len();
         out.resize(start + keys.len(), None);
         let mut miss_keys = Vec::new();
-        let mut miss_meta = Vec::new(); // (output slot, stripe version at probe)
+        let mut miss_meta = Vec::new(); // (output slot, set fence at probe)
         for (i, &k) in keys.iter().enumerate() {
             match self.probe(k) {
                 Ok(v) => out[start + i] = v,
-                Err(version) => {
+                Err(fence) => {
                     miss_keys.push(k);
-                    miss_meta.push((i, version));
+                    miss_meta.push((i, fence));
                 }
             }
         }
@@ -465,9 +484,9 @@ impl<K: Key, E: QueryEngine<K>> CachedEngine<K, E> {
         }
         let mut miss_results = Vec::with_capacity(miss_keys.len());
         exec(&self.inner, &miss_keys, &mut miss_results);
-        for ((r, &k), &(i, version)) in miss_results.iter().zip(&miss_keys).zip(&miss_meta) {
+        for ((r, &k), &(i, fence)) in miss_results.iter().zip(&miss_keys).zip(&miss_meta) {
             out[start + i] = *r;
-            self.fill_checked(k, *r, version);
+            self.fill_checked(k, *r, fence);
         }
     }
 }
@@ -515,11 +534,8 @@ impl<K: Key, E: QueryEngine<K>> QueryEngine<K> for CachedEngine<K, E> {
     }
 
     fn size_bytes(&self) -> usize {
-        // Inner structure plus the cache's own footprint: ring slots and
-        // roughly one (key, index) pair per map entry.
-        let slot = std::mem::size_of::<Slot<K>>();
-        let map_entry = std::mem::size_of::<K>() + std::mem::size_of::<usize>();
-        self.inner.size_bytes() + self.cached_len() * (slot + map_entry)
+        // Inner structure plus the whole preallocated table, occupied or not.
+        self.inner.size_bytes() + std::mem::size_of_val::<[Set]>(&self.sets)
     }
 
     /// Cache first; a miss falls through to the inner engine and fills.
@@ -552,7 +568,7 @@ impl<K: Key, E: QueryEngine<K>> QueryEngine<K> for CachedEngine<K, E> {
         self.inner.range_sum(lo, hi)
     }
 
-    /// Hit/miss partitioned batch: hits are answered from the stripes, and
+    /// Hit/miss partitioned batch: hits are answered from the sets, and
     /// the whole miss set goes to the inner engine's own `get_batch` in one
     /// call, so its interleaved-prefetch override still fires.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) {
@@ -574,7 +590,7 @@ mod tests {
     use crate::engine::StaticEngine;
     use crate::shard::ShardedEngine;
     use crate::testutil::MirrorIndex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn engine(
         n: u64,
@@ -596,15 +612,27 @@ mod tests {
         assert!(CachedEngine::new(inner, 4, 0).is_err());
     }
 
+    /// `capacity()` is the request rounded up to whole sets.
+    fn assert_rounds_to_sets(e: &CachedEngine<u64>, requested: usize) {
+        assert_eq!(e.capacity() % WAYS, 0, "whole sets");
+        assert!(e.capacity() >= requested, "{} < {requested}", e.capacity());
+        assert!(e.capacity() < requested + WAYS, "{} over {requested}", e.capacity());
+    }
+
+    /// A key other than `key` that lands in `key`'s set.
+    fn same_set<E: QueryEngine<u64>>(e: &CachedEngine<u64, E>, key: u64) -> u64 {
+        (0..).find(|&k| k != key && std::ptr::eq(e.set(k), e.set(key))).unwrap()
+    }
+
     #[test]
     fn stripes_round_to_power_of_two_and_respect_capacity() {
         let e = engine(100, 16, 3);
         assert_eq!(e.num_stripes(), 4);
-        assert_eq!(e.capacity(), 16);
-        // More stripes than capacity: clamped so every stripe can hold one.
+        assert_rounds_to_sets(&e, 16);
+        // More stripes than capacity: clamped to the capacity first.
         let e = engine(100, 3, 64);
         assert!(e.num_stripes() <= 4);
-        assert!(e.capacity() >= 3);
+        assert_rounds_to_sets(&e, 3);
     }
 
     #[test]
@@ -626,7 +654,9 @@ mod tests {
 
     #[test]
     fn batch_partitions_hits_from_misses_and_matches_get() {
-        let e = engine(1_000, 128, 4);
+        // Capacity far above the 60 present probe keys: a six-way set holds
+        // at most six of them, so the headroom must cover the fullest set.
+        let e = engine(1_000, 1024, 4);
         // Warm half the probe set.
         for k in (0..100u64).step_by(4) {
             e.get(k);
@@ -651,28 +681,28 @@ mod tests {
         for k in 0..2_000u64 {
             e.get(k * 2);
         }
-        assert_eq!(e.cached_len(), 32, "cache never exceeds capacity");
-        assert_eq!(e.capacity(), 32);
+        assert_eq!(e.cached_len(), e.capacity(), "cache never exceeds capacity");
+        assert_rounds_to_sets(&e, 32);
     }
 
     #[test]
     fn clock_gives_referenced_entries_a_second_chance() {
-        // One stripe for a deterministic ring.
-        let e = engine(10_000, 8, 1);
-        for k in 0..8u64 {
-            e.get(k * 2); // fill all 8 slots
+        // One set for a deterministic ring.
+        let e = engine(10_000, WAYS, 1);
+        for k in 0..WAYS as u64 {
+            e.get(k * 2); // fill every way
         }
-        assert_eq!(e.cached_len(), 8);
-        // Touch the even slots: their reference bits are now set.
-        let hot: Vec<u64> = (0..8u64).filter(|k| k % 2 == 0).map(|k| k * 2).collect();
+        assert_eq!(e.cached_len(), WAYS);
+        // Touch the even ways: their reference bits are now set.
+        let hot: Vec<u64> = (0..WAYS as u64).filter(|k| k % 2 == 0).map(|k| k * 2).collect();
         let h0 = e.hits();
         for &k in &hot {
             e.get(k);
         }
         assert_eq!(e.hits() - h0, hot.len() as u64);
-        // Four new fills must evict the four untouched entries, not the hot
-        // ones (CLOCK demotes the referenced slots instead of evicting them).
-        for k in 100..104u64 {
+        // New fills must evict the untouched entries, not the hot ones
+        // (CLOCK demotes the referenced ways instead of evicting them).
+        for k in 100..100 + (WAYS - hot.len()) as u64 {
             e.get(k * 2);
         }
         let h1 = e.hits();
@@ -691,13 +721,13 @@ mod tests {
         assert_eq!(e.cached_len(), len0 - 1);
         assert_eq!(e.get(10), e.inner().get(10), "invalidate must not lose the key");
         assert_eq!(e.hits(), h0, "probe after invalidate is a miss");
-        // A fill recorded under a pre-invalidation version is discarded.
-        let version = match e.probe(9999) {
-            Err(v) => v,
+        // A fill recorded under a pre-invalidation fence is discarded.
+        let fence = match e.probe(9999) {
+            Err(f) => f,
             Ok(_) => panic!("absent key cannot hit"),
         };
-        e.invalidate(42); // bumps the (single) stripe's version
-        e.fill_checked(9999, Some(123), version);
+        e.invalidate(same_set(&e, 9999)); // bumps the set's fence
+        e.fill_checked(9999, Some(123), fence);
         assert!(e.probe(9999).is_err(), "stale fill must be discarded");
     }
 
@@ -714,7 +744,8 @@ mod tests {
 
     #[test]
     fn negative_mode_caches_absence() {
-        let e = negative_engine(1_000, 64, 4);
+        // Headroom for the fullest set, as in the batch test above.
+        let e = negative_engine(1_000, 1024, 4);
         assert!(e.negative_enabled());
         assert_eq!(e.get(11), None); // miss: negative entry filled
         let (h0, m0) = (e.hits(), e.misses());
@@ -742,12 +773,12 @@ mod tests {
         e.invalidate(11);
         assert!(e.probe(11).is_err(), "insert invalidates cached absence");
         // …and fence a concurrent fill of the now-stale absence.
-        let version = match e.probe(12_345) {
-            Err(v) => v,
+        let fence = match e.probe(12_345) {
+            Err(f) => f,
             Ok(_) => panic!("absent key cannot hit before fill"),
         };
-        e.invalidate(42); // bumps the (single) stripe's version
-        e.fill_checked(12_345, None, version);
+        e.invalidate(same_set(&e, 12_345)); // bumps the set's fence
+        e.fill_checked(12_345, None, fence);
         assert!(e.probe(12_345).is_err(), "stale negative fill must be discarded");
     }
 
@@ -780,7 +811,7 @@ mod tests {
         assert_eq!(e.lower_bound(5), e.inner().lower_bound(5));
         assert_eq!(e.range(10, 30), e.inner().range(10, 30));
         assert_eq!(e.range_sum(10, 30), e.inner().range_sum(10, 30));
-        assert_eq!(e.hits() + e.misses(), 0, "ordered queries never touch the stripes");
+        assert_eq!(e.hits() + e.misses(), 0, "ordered queries never touch the sets");
     }
 
     /// `par_get_batch` into a fresh vector.
@@ -799,8 +830,9 @@ mod tests {
         })
         .unwrap();
         // Capacity comfortably above the probe set so the second pass
-        // cannot re-miss through eviction.
-        let e = CachedEngine::with_negative(sharded, 1024, 4, true).unwrap();
+        // cannot re-miss through eviction: ten times the 400 probe keys,
+        // because a set overflows once more than six of them hash to it.
+        let e = CachedEngine::with_negative(sharded, 4096, 4, true).unwrap();
         // Warm a third of the probe set (present and absent keys).
         for k in (0..300u64).step_by(3) {
             e.get(k);
@@ -883,14 +915,14 @@ mod tests {
         let e = engine(1_000, 64, 4);
         assert_eq!(e.len(), 1_000);
         assert!(e.name().starts_with("cached["));
-        let before = e.size_bytes();
         for k in 0..50u64 {
             e.get(k * 2);
         }
-        assert!(e.size_bytes() > before, "cached entries must show in size_bytes");
-        // What `size_bytes` charges per entry: key, result and the CLOCK
-        // bit, nothing else.
-        assert!(std::mem::size_of::<Slot<u64>>() <= 32);
+        // The whole preallocated table is charged, occupied or not, at no
+        // more than 24 bytes per entry.
+        let set = std::mem::size_of::<Set>();
+        assert_eq!(e.size_bytes(), e.inner().size_bytes() + e.sets.len() * set);
+        assert!(set / WAYS <= 24, "{set} B per set");
         e.reset_stats();
         assert_eq!(e.hits() + e.misses(), 0);
     }

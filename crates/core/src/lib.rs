@@ -32,9 +32,9 @@
 //!   [`SortedData`] into fence-routed shards, one inner engine each, with
 //!   shard-grouped batches and a scoped-thread parallel batch path.
 //! * [`cache`] — the hot-key serving tier: [`CachedEngine`] puts a
-//!   bounded, lock-striped CLOCK result cache in front of any engine so
-//!   Zipf-skewed read traffic is answered by one hash probe, with
-//!   version-fenced invalidation keeping it exact over updatable inners.
+//!   bounded, set-associative CLOCK result cache in front of any engine
+//!   so Zipf-skewed read traffic is answered by one lock-free set probe,
+//!   with fenced invalidation keeping it exact over updatable inners.
 //! * [`writebehind`] — the updatable serving tier: [`WriteBehindEngine`]
 //!   layers a bounded mutable delta buffer over any immutable base engine,
 //!   absorbing writes in the delta and folding them into a rebuilt base

@@ -34,8 +34,9 @@ fn main() {
     );
     println!("dataset: {} keys, {} zipf(1.1) lookups", data.len(), lookups.len());
 
-    // 2. A cached engine from a spec: an RMI fronted by a 32k-entry,
-    //    8-stripe CLOCK cache. The spec's label names the configuration.
+    // 2. A cached engine from a spec: an RMI fronted by a 32k-entry
+    //    set-associative CLOCK cache with 8 counter slots. The spec's label
+    //    names the configuration.
     let inner_spec = EngineSpec::Single(Family::Rmi.default_spec::<u64>());
     let spec = EngineSpec::Cached {
         capacity: 32_768,
@@ -45,7 +46,7 @@ fn main() {
     };
     let cached = spec.cached_engine(&data, SearchStrategy::Binary).expect("spec builds");
     println!(
-        "engine: {} (capacity {}, {} stripes)\nspec:   {}",
+        "engine: {} (capacity {}, {} counter slots)\nspec:   {}",
         cached.name(),
         cached.capacity(),
         cached.num_stripes(),

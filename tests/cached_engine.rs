@@ -3,12 +3,14 @@
 //! inserts and merges in both modes (a cached-then-overwritten key is
 //! re-probed immediately — the stale-hit trap), an eviction-at-capacity
 //! unit test, a concurrent writer/reader regression proving no stale hit
-//! is ever served while background merges swap generations, and the hit
-//! rate a small cache reaches under Zipf reads over each serving layout.
+//! is ever served while background merges swap generations, the hit
+//! rate a small cache reaches under Zipf reads over each serving layout,
+//! and a torn-read stress test of the lock-free set probe.
 
 use proptest::prelude::*;
 use sosd::bench::registry::{EngineSpec, Family};
 use sosd::core::cache::CachedEngine;
+use sosd::core::util::splitmix64;
 use sosd::core::{
     MergeMode, MergePolicy, Op, QueryEngine, SearchStrategy, SortedData, WriteBehindEngine,
 };
@@ -433,4 +435,68 @@ fn zipf_reads_mostly_hit_a_small_cache_over_every_layout() {
             cached.hit_rate() * 100.0
         );
     }
+}
+
+/// Answers `Some(splitmix64(k))` for even keys and `None` for odd ones, so
+/// every key has one right answer and a payload names the key it belongs to.
+struct MixEngine;
+
+impl QueryEngine<u64> for MixEngine {
+    fn name(&self) -> String {
+        "mix".into()
+    }
+    fn len(&self) -> usize {
+        0
+    }
+    fn size_bytes(&self) -> usize {
+        0
+    }
+    fn get(&self, key: u64) -> Option<u64> {
+        key.is_multiple_of(2).then(|| splitmix64(key))
+    }
+    fn lower_bound(&self, _key: u64) -> Option<(u64, u64)> {
+        None
+    }
+    fn range(&self, _lo: u64, _hi: u64) -> Vec<(u64, u64)> {
+        Vec::new()
+    }
+}
+
+/// The seqlock regression: a one-set cache in negative mode, far more
+/// distinct keys than ways, two threads reading with `get` and `peek`
+/// while a third invalidates keys and fills others to force evictions. A
+/// torn read — one way's key paired with another way's payload or
+/// negative bit — answers some key with another key's result.
+#[test]
+fn seqlock_reads_never_tear_under_concurrent_fills_and_invalidations() {
+    const KEYS: u64 = 96;
+    const ROUNDS: u64 = 5_000;
+    let cache = CachedEngine::with_negative(MixEngine, 6, 1, true).expect("cache builds");
+    assert_eq!(cache.capacity(), 6, "exactly one set");
+    std::thread::scope(|scope| {
+        for reader in 0..2u64 {
+            let cache = &cache;
+            scope.spawn(move || {
+                for i in 0..ROUNDS * KEYS {
+                    // Two of three probes go to eight hot keys, so hits and
+                    // refills race on the same ways.
+                    let k = splitmix64(i ^ (reader << 40)) % KEYS;
+                    let k = if i % 3 == 0 { k } else { k % 8 };
+                    assert_eq!(cache.get(k), MixEngine.get(k), "get {k}");
+                    if let Some(r) = cache.peek(k) {
+                        assert_eq!(r, MixEngine.get(k), "peek {k}");
+                    }
+                }
+            });
+        }
+        let cache = &cache;
+        scope.spawn(move || {
+            for i in 0..ROUNDS * KEYS / 4 {
+                cache.invalidate(i % 8);
+                assert_eq!(cache.get(KEYS + i % KEYS), MixEngine.get(KEYS + i % KEYS));
+            }
+        });
+    });
+    assert!(cache.hits() > 0 && cache.misses() > 0);
+    assert_eq!(cache.cached_len(), cache.capacity());
 }
