@@ -13,6 +13,8 @@ use crate::util::splitmix64;
 pub struct SortedData<K: Key> {
     keys: Vec<K>,
     payloads: Vec<u64>,
+    /// No key occurs twice (recorded by the sortedness check).
+    duplicate_free: bool,
 }
 
 impl<K: Key> SortedData<K> {
@@ -33,10 +35,14 @@ impl<K: Key> SortedData<K> {
         if keys.len() != payloads.len() {
             return Err(DataError::LengthMismatch { keys: keys.len(), payloads: payloads.len() });
         }
-        if let Some(i) = (1..keys.len()).find(|&i| keys[i] < keys[i - 1]) {
-            return Err(DataError::Unsorted(i));
+        let mut duplicate_free = true;
+        for i in 1..keys.len() {
+            if keys[i] < keys[i - 1] {
+                return Err(DataError::Unsorted(i));
+            }
+            duplicate_free &= keys[i] != keys[i - 1];
         }
-        Ok(SortedData { keys, payloads })
+        Ok(SortedData { keys, payloads, duplicate_free })
     }
 
     /// Number of keys.
@@ -73,6 +79,13 @@ impl<K: Key> SortedData<K> {
     #[inline]
     pub fn payload(&self, i: usize) -> u64 {
         self.payloads[i]
+    }
+
+    /// True when no key occurs twice, so every key's `get` answer is its
+    /// one payload and it counts one entry in an engine's `len()`.
+    #[inline]
+    pub(crate) fn is_duplicate_free(&self) -> bool {
+        self.duplicate_free
     }
 
     /// Smallest key.
@@ -170,6 +183,14 @@ mod tests {
     fn allows_duplicates() {
         let d = SortedData::new(vec![1u64, 1, 1, 2]).unwrap();
         assert_eq!(d.len(), 4);
+    }
+
+    #[test]
+    fn records_whether_keys_repeat() {
+        assert!(data().is_duplicate_free());
+        assert!(SortedData::new(vec![7u64]).unwrap().is_duplicate_free());
+        assert!(!SortedData::new(vec![1u64, 2, 2, 3]).unwrap().is_duplicate_free());
+        assert!(!SortedData::new(vec![1u64, 2, 3, 3]).unwrap().is_duplicate_free());
     }
 
     #[test]

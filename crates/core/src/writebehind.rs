@@ -354,7 +354,9 @@ impl<K: Key> Run<K> {
     }
 
     /// [`Run::probe_unpruned`] directly against the run's data array (one
-    /// binary search; the write path stays off every engine).
+    /// binary search). The write path probes runs this way: they are small
+    /// enough that probing them through their engines measured no faster,
+    /// while the multi-million-key base is probed through its engine.
     fn probe_in_data(&self, key: K) -> Option<Option<u64>> {
         let pos = self.data.lower_bound(key);
         if pos >= self.data.len() || self.data.key(pos) != key {
@@ -493,10 +495,11 @@ impl<K: Key> Generation<K> {
     /// bounds prune the key or whose filter proves it absent, tallying the
     /// probes made and the filter skips. Each surviving run is asked with
     /// `probe`: [`Run::probe_unpruned`] on reads, [`Run::probe_in_data`]
-    /// on writes. Forced inline, like [`Generation::get`]: each caller then
-    /// compiles to what it was when it carried its own copy of this walk
-    /// (with plain `#[inline]` the walk was outlined and `point-hot`
-    /// measured 5% slower).
+    /// on writes (which reach the base's engine only after this walk, in
+    /// [`Shared::deeper_state`]). Forced inline, like [`Generation::get`]:
+    /// each caller then compiles to what it was when it carried its own
+    /// copy of this walk (with plain `#[inline]` the walk was outlined and
+    /// `point-hot` measured 5% slower).
     #[inline(always)]
     fn run_state(
         &self,
@@ -1148,9 +1151,11 @@ impl<K: Key> Shared<K> {
     /// What the tiers below the active delta say about `key`, as the write
     /// kernel's pair: the visible payload and the entries it counts in
     /// `len()` (a value one, a tombstone or nothing zero, a base duplicate
-    /// group its size). No engine is touched: the frozen delta, then the
-    /// read kernel's run walk with each run probed in its data array, then
-    /// the base data — the write path stays search-cheap.
+    /// group its size). The frozen delta, then the read kernel's run walk
+    /// with each run probed in its data array, then the base through its
+    /// learned engine — one `get`, whose answer counts one entry when the
+    /// base has no duplicate keys. Only a base with duplicate groups is
+    /// searched in its data array instead, so the group's size is exact.
     fn deeper_state(&self, st: &State<K>, key: K) -> (Option<u64>, usize) {
         let shadow = st.frozen.as_ref().and_then(|f| f.state(key)).or_else(|| {
             st.generation.run_state(key, &mut StackTally::default(), Run::probe_in_data)
@@ -1159,6 +1164,10 @@ impl<K: Key> Shared<K> {
             return (state, usize::from(state.is_some()));
         }
         let data = &st.generation.data;
+        if data.is_duplicate_free() {
+            let answer = st.generation.base.get(key);
+            return (answer, usize::from(answer.is_some()));
+        }
         let start = data.lower_bound(key);
         let group = data.keys()[start..].iter().take_while(|&&x| x == key).count();
         (data.payload_sum_from(key, start), group)
@@ -1585,9 +1594,10 @@ impl<K: Key> WriteBehindEngine<K> {
     /// Insert (or overwrite) `key` in the delta, returning the previously
     /// *visible* payload — the newest shadow entry if one existed (`None`
     /// for a tombstone), otherwise the base's [`QueryEngine::get`] answer
-    /// (the duplicate-group sum on duplicated base keys, located directly
-    /// in the generation's data arrays — no engine probe on the write
-    /// path).
+    /// (the duplicate-group sum on duplicated base keys). Runs are probed
+    /// in their data arrays; the base is probed through its learned
+    /// engine, unless it holds duplicate groups, which are counted in its
+    /// data array so `len()` stays exact.
     ///
     /// Crossing the merge threshold triggers a merge: inline under
     /// [`MergeMode::Sync`], on a spawned thread under
@@ -2424,6 +2434,64 @@ mod tests {
             assert_eq!(e.delta_len(), delta_len, "{op} {key} over {prior}: delta_len");
             assert_eq!(e.range(0, u64::MAX), scan, "{op} {key} over {prior}: full scan");
         }
+    }
+
+    /// Forwards to a static engine and counts its `get` calls.
+    struct GetCounter {
+        inner: StaticEngine<u64, MirrorIndex>,
+        gets: Arc<AtomicUsize>,
+    }
+
+    impl QueryEngine<u64> for GetCounter {
+        fn name(&self) -> String {
+            "get-counter".into()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn size_bytes(&self) -> usize {
+            self.inner.size_bytes()
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            self.gets.fetch_add(1, Ordering::Relaxed);
+            self.inner.get(key)
+        }
+        fn lower_bound(&self, key: u64) -> Option<(u64, u64)> {
+            self.inner.lower_bound(key)
+        }
+        fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+            self.inner.range(lo, hi)
+        }
+    }
+
+    /// Over a duplicate-free base, a write that misses the delta and the
+    /// runs finds its base record with exactly one engine `get`; a write
+    /// the active delta answers, or a run answers in its data array,
+    /// makes none.
+    #[test]
+    fn writes_find_base_records_through_the_engine() {
+        let gets = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&gets);
+        let factory: BaseFactory<u64> = Arc::new(move |d: Arc<SortedData<u64>>| {
+            let inner = StaticEngine::new(MirrorIndex::over(&d), d);
+            let gets = Arc::clone(&counter);
+            Ok(Box::new(GetCounter { inner, gets }) as Box<dyn QueryEngine<u64>>)
+        });
+        let e = engine_over(SortedData::new(vec![10u64, 20, 30]).unwrap(), factory, 100).unwrap();
+        let gets_during = |write: &dyn Fn()| {
+            let before = gets.load(Ordering::Relaxed);
+            write();
+            gets.load(Ordering::Relaxed) - before
+        };
+        assert_eq!(gets_during(&|| assert_eq!(e.insert(15, 1), None)), 1, "absent key");
+        assert_eq!(gets_during(&|| assert!(e.remove(20).is_some())), 1, "remove of a base key");
+        assert_eq!(gets_during(&|| assert_eq!(e.insert(15, 2), Some(1))), 0, "active value");
+        assert_eq!(gets_during(&|| assert_eq!(e.insert(20, 3), None)), 0, "active tombstone");
+        e.force_merge();
+        assert_eq!(e.run_count(), 1, "the freeze stacked a run over [15, 20]");
+        assert_eq!(gets_during(&|| assert_eq!(e.insert(15, 4), Some(2))), 0, "run value");
+        assert_eq!(gets_during(&|| assert_eq!(e.insert(17, 5), None)), 1, "past the run");
+        assert_eq!(e.len(), 5);
     }
 
     #[test]

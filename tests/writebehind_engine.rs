@@ -1,7 +1,8 @@
 //! Integration suite for the write-behind engine: `BTreeMap`-oracle
 //! property tests with merges forced mid-sequence (in both merge modes and
 //! two leveled shapes), interleaved insert/remove/re-insert churn through
-//! the tombstone path across compaction cycles, and a torn-read regression
+//! the tombstone path across compaction cycles, churn over a base of
+//! duplicate groups against a group oracle, and a torn-read regression
 //! proving that a background merge concurrent with an in-flight batched
 //! read yields pre- or post-merge-consistent payloads — never a window
 //! where drained delta entries are invisible.
@@ -36,15 +37,38 @@ fn build_with_policy(
 ) -> (WriteBehindEngine<u64>, BTreeMap<u64, u64>) {
     let payloads: Vec<u64> = keys.iter().map(|&k| k.wrapping_mul(0x9E37_79B9) ^ 1).collect();
     let oracle: BTreeMap<u64, u64> = keys.iter().copied().zip(payloads.iter().copied()).collect();
-    let data = Arc::new(SortedData::with_payloads(keys.to_vec(), payloads).expect("sorted"));
+    let data = SortedData::with_payloads(keys.to_vec(), payloads).expect("sorted");
+    (writebehind_over(data, threshold, shards, mode, policy), oracle)
+}
+
+/// A write-behind engine over `data`, with PGM-backed base and run engines.
+fn writebehind_over(
+    data: SortedData<u64>,
+    threshold: usize,
+    shards: usize,
+    mode: MergeMode,
+    policy: MergePolicy,
+) -> WriteBehindEngine<u64> {
     let spec = EngineSpec::WriteBehind {
         shards,
         inner: Family::Pgm.default_spec::<u64>(),
         merge_threshold: threshold,
         policy,
     };
-    let engine = spec.writebehind_engine(&data, SearchStrategy::Binary, mode).expect("builds");
-    (engine, oracle)
+    spec.writebehind_engine(&Arc::new(data), SearchStrategy::Binary, mode).expect("builds")
+}
+
+/// Every visible key of `entries` (sorted, duplicates adjacent) as its
+/// `get` answer and the entries it counts in `len()`: the payload sum and
+/// the size of its group.
+fn group(entries: impl IntoIterator<Item = (u64, u64)>) -> BTreeMap<u64, (u64, usize)> {
+    let mut groups = BTreeMap::new();
+    for (k, v) in entries {
+        let (sum, count) = groups.entry(k).or_insert((0u64, 0usize));
+        *sum = sum.wrapping_add(v);
+        *count += 1;
+    }
+    groups
 }
 
 /// Distinct sorted base keys, extremes included often.
@@ -269,6 +293,50 @@ proptest! {
         for (&k, &v) in &oracle {
             prop_assert_eq!(engine.get(k), Some(v), "post-merge get {}", k);
         }
+    }
+
+    /// Insert/remove churn over a base whose keys repeat — 2..150 entries
+    /// drawn from 40 values, so most keys are duplicate groups — against a
+    /// group oracle (key → payload sum, entry count), under `leveled(2, 1)`
+    /// through base folds. A fold collapses every shadowed group, so
+    /// successive bases differ in whether any key repeats. After every
+    /// write: the returned previous payload (a group's sum), `len()` (a
+    /// group's size until a write shadows it) and a full scan.
+    #[test]
+    fn duplicate_group_churn_agrees_with_group_oracle(
+        keys in prop::collection::vec((0u64..40).prop_map(|v| v * 1_000), 2..150)
+            .prop_map(|mut keys| { keys.sort_unstable(); keys }),
+        ops in prop::collection::vec(
+            (any::<u8>(), (0u64..80).prop_map(|v| v * 500), any::<u64>()),
+            1..200,
+        ),
+    ) {
+        let payloads: Vec<u64> = keys.iter().map(|&k| k.wrapping_mul(0x9E37_79B9) ^ 1).collect();
+        let mut oracle = group(keys.iter().copied().zip(payloads.iter().copied()));
+        let data = SortedData::with_payloads(keys, payloads).expect("sorted");
+        let engine = writebehind_over(data, 4, 1, MergeMode::Sync, MergePolicy::leveled(2, 1));
+        let filler = (0..).map(|i| (1, 100_000 + i, i));
+        for (step, (action, k, v)) in ops.iter().copied().chain(filler).enumerate() {
+            if step >= ops.len() && engine.compactions() >= 1 {
+                break; // past the stream and through at least one base fold
+            }
+            let (op, got, want) = if action % 3 == 0 {
+                ("remove", engine.remove(k), oracle.remove(&k))
+            } else {
+                ("insert", engine.insert(k, v), oracle.insert(k, (v, 1)))
+            };
+            prop_assert_eq!(got, want.map(|(sum, _)| sum), "{} {} step {}", op, k, step);
+            let len: usize = oracle.values().map(|&(_, count)| count).sum();
+            prop_assert_eq!(engine.len(), len, "len after {} {} step {}", op, k, step);
+            prop_assert_eq!(
+                group(engine.range(0, u64::MAX)), oracle.clone(),
+                "full scan after {} {} step {}", op, k, step
+            );
+            if step % 8 == 7 {
+                engine.force_merge();
+            }
+        }
+        prop_assert!(engine.compactions() >= 1, "the churn reached a base fold");
     }
 }
 
