@@ -21,12 +21,13 @@
 //! holds while `gap × (wave_size − wave.len())` fits in the time left to
 //! the **oldest** member's linger deadline (its enqueue time + `linger`).
 //! Otherwise — arrivals too sparse to fill the wave in time, or no gap
-//! observed yet — it dispatches what it has immediately: a lone request on
-//! an idle scheduler is served at wake-up latency, not after `linger`,
-//! while back-to-back arrivals still fill whole waves and a backlog that
-//! built up during the previous wave batches without any wait. Every
-//! push wakes a holding worker, which re-evaluates the rule with the
-//! larger wave and the updated gap.
+//! observed yet — it dispatches what it has immediately: a lone queued
+//! request goes out at wake-up latency, not after `linger` (a sparse miss
+//! does not queue at all, see below), while
+//! back-to-back arrivals still fill whole waves and a backlog that built
+//! up during the previous wave batches without any wait. Every push wakes
+//! a holding worker, which re-evaluates the rule with the larger wave and
+//! the updated gap.
 //!
 //! The deadline is the backstop, not the norm: if arrivals stop after the
 //! decision to hold, the wave goes out when the head request has waited
@@ -34,6 +35,21 @@
 //! requests behind it, and dispatching *early* is always allowed.
 //! `linger = 0` never holds; `wave_size = 1, linger = 0` degenerates to a
 //! one-request-per-call scheduler (the `ext09_openloop` baseline).
+//!
+//! # Sparse traffic stays on the submitting thread
+//!
+//! A worker that would send a request alone buys nothing by taking it:
+//! waking a parked thread costs microseconds to milliseconds of scheduler
+//! latency, far more than the lookup. So the ingest queue also keeps a
+//! **load gap**, an EWMA (weight ⅛, samples clamped to `linger`) of the
+//! gap between *all* submits, fast-path hits included: each miss folds
+//! the time since the previous miss divided by the submits in between, so
+//! the hit path pays no extra shared write. A miss is answered on the
+//! submitting thread — one `get`, counted as a wave of one — when
+//! `load_gap × wave_size > linger` (fewer than one wave of requests per
+//! linger), the queue is empty, and a worker is parked with an empty
+//! wave. Otherwise it is queued as above, so dense traffic still batches
+//! and `linger = 0` (every sample clamps to zero) never serves inline.
 //!
 //! # Admission control
 //!
@@ -87,7 +103,8 @@ pub struct SchedulerConfig {
     /// measured from the enqueue time of its **oldest** request. A partial
     /// wave is held only while the observed arrival gap says it will fill
     /// before that deadline (see the module docs); sparse traffic is
-    /// dispatched at once whatever this is. Zero never holds.
+    /// dispatched at once whatever this is, or served on the submitting
+    /// thread. Zero never holds and never serves inline.
     pub linger: Duration,
     /// Worker threads dispatching waves (≥ 1).
     pub workers: usize,
@@ -160,8 +177,9 @@ pub struct Response {
 }
 
 enum ResponseInner {
-    /// Completed at submit time by the hit-fast path.
-    Ready(Option<u64>),
+    /// Completed on the submitting thread: by the hit-fast path (`fast`)
+    /// or by a sparse miss's inline `get`.
+    Ready { result: Option<u64>, fast: bool },
     /// Waiting on a wave.
     Pending(Arc<Slot>),
 }
@@ -171,7 +189,7 @@ impl Response {
     /// (`None` = key absent, exactly as [`QueryEngine::get`]).
     pub fn wait(&self) -> Option<u64> {
         match &self.inner {
-            ResponseInner::Ready(r) => *r,
+            ResponseInner::Ready { result, .. } => *result,
             ResponseInner::Pending(slot) => {
                 let mut st = slot.state.lock().expect("response slot");
                 loop {
@@ -188,15 +206,16 @@ impl Response {
     /// The result if already available, without blocking.
     pub fn try_result(&self) -> Option<Option<u64>> {
         match &self.inner {
-            ResponseInner::Ready(r) => Some(*r),
+            ResponseInner::Ready { result, .. } => Some(*result),
             ResponseInner::Pending(slot) => slot.state.lock().expect("response slot").result,
         }
     }
 
     /// Whether this request was answered by the hit-fast path (it never
-    /// entered the queue).
+    /// entered the queue). A sparse miss served inline on the submitting
+    /// thread is ready at once too, but is not a fast-path hit.
     pub fn is_fast(&self) -> bool {
-        matches!(self.inner, ResponseInner::Ready(_))
+        matches!(self.inner, ResponseInner::Ready { fast: true, .. })
     }
 }
 
@@ -215,25 +234,56 @@ struct Request<K> {
 struct Ingest<K> {
     deque: VecDeque<Request<K>>,
     sleepers: usize,
-    /// Enqueue stamp of the latest admitted request.
+    /// Sleepers parked with an empty wave: a request one of them would
+    /// only send alone can be served inline instead.
+    idle: usize,
+    /// Enqueue stamp of the latest queued request.
     last_enqueued: Option<Instant>,
-    /// EWMA (weight ⅛) of the gap between consecutive admitted requests,
+    /// EWMA (weight ⅛) of the gap between consecutive queued requests,
     /// each sample clamped to `linger`. `None` until two have been
-    /// admitted: unknown means "do not hold".
+    /// queued: unknown means "do not hold".
     gap_ewma: Option<Duration>,
+    /// Stamp of the latest miss and the `submitted` count at that time.
+    last_miss: Option<(Instant, u64)>,
+    /// EWMA (weight ⅛) of the gap between consecutive submits, hits
+    /// included, folded once per miss and clamped to `linger`. `None`
+    /// until two misses have been seen: unknown means "not sparse".
+    load_gap: Option<Duration>,
     /// Deepest queue observed at admission.
     peak_queue: u64,
 }
 
+/// Fold `sample` into an EWMA of weight ⅛ (the first sample seeds it).
+fn fold(ewma: Option<Duration>, sample: Duration) -> Duration {
+    ewma.map_or(sample, |ewma| ewma - ewma / 8 + sample / 8)
+}
+
 impl<K> Ingest<K> {
-    /// Fold the gap between the previous admission and this one into the
-    /// EWMA. Stamps are taken before the lock, so two submitters can
+    /// Fold the gap between the previous queued request and this one into
+    /// the EWMA. Stamps are taken before the lock, so two submitters can
     /// arrive out of order; that reads as a zero gap.
     fn note_arrival(&mut self, enqueued: Instant, linger: Duration) {
         if let Some(prev) = self.last_enqueued.replace(enqueued) {
-            let gap = enqueued.saturating_duration_since(prev).min(linger);
-            self.gap_ewma = Some(self.gap_ewma.map_or(gap, |ewma| ewma - ewma / 8 + gap / 8));
+            self.gap_ewma =
+                Some(fold(self.gap_ewma, enqueued.saturating_duration_since(prev).min(linger)));
         }
+    }
+
+    /// Fold the mean submit gap since the previous miss into the load gap
+    /// and decide whether this miss is sparse: fewer than one wave of
+    /// submits per linger, nothing queued, and a worker idle — so a worker
+    /// would only send it alone after a wake-up.
+    fn sparse_miss(&mut self, now: Instant, submitted: u64, config: &SchedulerConfig) -> bool {
+        if let Some((prev, then)) = self.last_miss.replace((now, submitted)) {
+            // Concurrent submitters can read the same count: one at least.
+            let submits = u32::try_from(submitted.saturating_sub(then).max(1)).unwrap_or(u32::MAX);
+            let gap = (now.saturating_duration_since(prev) / submits).min(config.linger);
+            self.load_gap = Some(fold(self.load_gap, gap));
+        }
+        let wave = u32::try_from(config.wave_size).unwrap_or(u32::MAX);
+        self.deque.is_empty()
+            && self.idle > 0
+            && self.load_gap.is_some_and(|gap| gap.saturating_mul(wave) > config.linger)
     }
 }
 
@@ -249,7 +299,8 @@ struct Shared<K> {
     waves: AtomicU64,
     wave_requests: AtomicU64,
     checksum: AtomicU64,
-    /// Enqueue → wave dispatch, nanoseconds (fast-path hits excluded).
+    /// Enqueue → wave dispatch (or inline `get`), nanoseconds (fast-path
+    /// hits excluded).
     queue_wait: LatencyHistogram,
     /// Enqueue → completion, nanoseconds (fast-path hits included).
     latency: LatencyHistogram,
@@ -261,8 +312,11 @@ impl<K: Key> Shared<K> {
             queue: Mutex::new(Ingest {
                 deque: VecDeque::new(),
                 sleepers: 0,
+                idle: 0,
                 last_enqueued: None,
                 gap_ewma: None,
+                last_miss: None,
+                load_gap: None,
                 peak_queue: 0,
             }),
             not_empty: Condvar::new(),
@@ -295,6 +349,25 @@ impl<K: Key> Shared<K> {
         }
         self.completed.fetch_add(1, Ordering::Release);
     }
+
+    /// Complete a request on the submitting thread: it never had a slot
+    /// anyone could wait on, so its `Response` is ready at once.
+    fn complete_here(
+        &self,
+        key: K,
+        enqueued: Instant,
+        result: Option<u64>,
+        fast: bool,
+    ) -> Response {
+        self.complete(key, &Slot::default(), enqueued, Instant::now(), result);
+        Response { inner: ResponseInner::Ready { result, fast } }
+    }
+
+    /// Count one dispatched wave of `requests` requests.
+    fn note_wave(&self, requests: usize) {
+        self.waves.fetch_add(1, Ordering::Relaxed);
+        self.wave_requests.fetch_add(requests as u64, Ordering::Relaxed);
+    }
 }
 
 #[inline]
@@ -318,7 +391,8 @@ pub struct SchedulerStats {
     pub shed: u64,
     /// Completions served by the hit-fast path.
     pub fast_hits: u64,
-    /// Waves dispatched.
+    /// Waves dispatched. A sparse miss served inline on the submitting
+    /// thread counts as a wave of one.
     pub waves: u64,
     /// Requests carried by those waves (`completed - fast_hits` once idle).
     pub wave_requests: u64,
@@ -450,8 +524,9 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
     }
 
     /// Submit one point lookup. Returns a [`Response`] handle on
-    /// admission (or immediate fast-path completion), or [`RequestShed`]
-    /// if the queue is at `queue_cap` — the request was not executed.
+    /// admission (ready at once for a fast-path hit or a sparse miss
+    /// served on this thread), or [`RequestShed`] if the queue is at
+    /// `queue_cap` — the request was not executed.
     pub fn submit(&self, key: K) -> Result<Response, RequestShed> {
         let sh = &*self.shared;
         sh.submitted.fetch_add(1, Ordering::Relaxed);
@@ -461,9 +536,7 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
                 sh.fast_hits.fetch_add(1, Ordering::Relaxed);
                 // Completes on the submitting thread: ~the latency of one
                 // cache probe, recorded like any other completion.
-                let slot = Slot::default();
-                sh.complete(key, &slot, enqueued, Instant::now(), result);
-                return Ok(Response { inner: ResponseInner::Ready(result) });
+                return Ok(sh.complete_here(key, enqueued, result, true));
             }
         }
         let slot = Arc::new(Slot::default());
@@ -473,6 +546,15 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
                 drop(q);
                 sh.shed.fetch_add(1, Ordering::Release);
                 return Err(RequestShed);
+            }
+            if q.sparse_miss(enqueued, sh.submitted.load(Ordering::Relaxed), &self.config) {
+                drop(q);
+                // A wave of one on this thread: the parked worker stays
+                // parked, and the request skips its wake-up.
+                sh.queue_wait.record(duration_ns(enqueued.elapsed()));
+                let result = self.engine.get(key);
+                sh.note_wave(1);
+                return Ok(sh.complete_here(key, enqueued, result, false));
             }
             q.deque.push_back(Request { key, enqueued, slot: Arc::clone(&slot) });
             q.note_arrival(enqueued, self.config.linger);
@@ -572,8 +654,10 @@ fn worker_loop<K: Key, E: QueryEngine<K> + ?Sized>(
                         return;
                     }
                     q.sleepers += 1;
+                    q.idle += 1;
                     q = sh.not_empty.wait(q).expect("scheduler queue");
                     q.sleepers -= 1;
+                    q.idle -= 1;
                     continue;
                 }
                 // Partial wave: hold it only while arrivals at the observed
@@ -604,8 +688,7 @@ fn worker_loop<K: Key, E: QueryEngine<K> + ?Sized>(
         }
         results.clear();
         engine.get_batch(&keys, &mut results);
-        sh.waves.fetch_add(1, Ordering::Relaxed);
-        sh.wave_requests.fetch_add(wave.len() as u64, Ordering::Relaxed);
+        sh.note_wave(wave.len());
         // One completion timestamp for the whole wave: its members finish
         // together, and per-request clock reads are pure dispatch overhead.
         let completed_at = Instant::now();
@@ -733,6 +816,131 @@ mod tests {
         assert!(stats.avg_wave() < 2.0, "avg wave {}", stats.avg_wave());
         let wait_p50 = Duration::from_nanos(sched.queue_wait().p50());
         assert!(wait_p50 < linger / 2, "median queue wait {wait_p50:?} vs linger {linger:?}");
+    }
+
+    /// An engine recording, per looked-up key, whether the lookup ran on a
+    /// scheduler worker (a thread named `sosd-serve-*`). Its first lookup
+    /// sleeps for `first_stall`.
+    struct ThreadTally<E: ?Sized> {
+        inner: Arc<E>,
+        on_worker: Mutex<Vec<bool>>,
+        first_stall: Duration,
+    }
+
+    impl<E: ?Sized> ThreadTally<E> {
+        fn new(inner: Arc<E>, first_stall: Duration) -> Self {
+            ThreadTally { inner, on_worker: Mutex::new(Vec::new()), first_stall }
+        }
+
+        fn note(&self, keys: usize) {
+            let worker =
+                std::thread::current().name().is_some_and(|n| n.starts_with("sosd-serve-"));
+            let first = {
+                let mut seen = self.on_worker.lock().unwrap();
+                seen.extend(std::iter::repeat_n(worker, keys));
+                seen.len() == keys
+            };
+            if first {
+                std::thread::sleep(self.first_stall);
+            }
+        }
+
+        fn seen(&self) -> Vec<bool> {
+            self.on_worker.lock().unwrap().clone()
+        }
+    }
+
+    impl<E: QueryEngine<u64> + ?Sized> QueryEngine<u64> for ThreadTally<E> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn size_bytes(&self) -> usize {
+            self.inner.size_bytes()
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            self.note(1);
+            self.inner.get(key)
+        }
+        fn lower_bound(&self, key: u64) -> Option<(u64, u64)> {
+            self.inner.lower_bound(key)
+        }
+        fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+            self.inner.range(lo, hi)
+        }
+        fn get_batch(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+            self.note(keys.len());
+            self.inner.get_batch(keys, out)
+        }
+    }
+
+    /// Twelve misses `4 × linger` apart through a tallying engine, each
+    /// awaited before the next; returns the scheduler's final stats and
+    /// where every lookup ran.
+    fn paced_misses(
+        cfg: SchedulerConfig,
+        pace: Duration,
+        check: impl Fn(usize, &Response),
+    ) -> (SchedulerStats, Vec<bool>, u64) {
+        let (_, engine) = static_engine(100);
+        let tally = Arc::new(ThreadTally::new(Arc::clone(&engine), Duration::ZERO));
+        let sched = RequestScheduler::new(Arc::clone(&tally), cfg).unwrap();
+        let keys: Vec<u64> = (0..12u64).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            let r = sched.submit(k).unwrap();
+            check(i, &r);
+            assert_eq!(r.wait(), engine.get(k), "key {k}");
+            std::thread::sleep(pace);
+        }
+        sched.wait_idle();
+        (sched.stats(), tally.seen(), oracle_checksum(&*engine, &keys))
+    }
+
+    #[test]
+    fn sparse_misses_are_served_on_the_submitting_thread() {
+        let linger = Duration::from_millis(2);
+        let cfg = SchedulerConfig { wave_size: 32, linger, workers: 1, queue_cap: 64 };
+        let (stats, seen, oracle) = paced_misses(cfg, 4 * linger, |i, r| {
+            if i >= 2 {
+                assert!(r.try_result().is_some(), "miss {i} is answered inside submit");
+                assert!(!r.is_fast(), "an inline miss is not a fast-path hit");
+            }
+        });
+        assert_eq!(seen.len(), 12, "one lookup per miss");
+        assert!(seen[2..].iter().all(|&w| !w), "misses from the third on stay inline: {seen:?}");
+        assert_eq!(stats.fast_hits, 0);
+        assert_eq!((stats.waves, stats.wave_requests), (12, 12), "each miss is a wave of one");
+        assert_eq!(stats.checksum, oracle);
+    }
+
+    #[test]
+    fn zero_linger_never_serves_inline() {
+        let cfg =
+            SchedulerConfig { wave_size: 1, linger: Duration::ZERO, workers: 1, queue_cap: 64 };
+        let (stats, seen, oracle) = paced_misses(cfg, Duration::from_millis(8), |_, _| {});
+        assert_eq!(seen, vec![true; 12], "every lookup runs on the worker");
+        assert_eq!((stats.waves, stats.wave_requests), (12, 12));
+        assert_eq!(stats.checksum, oracle);
+    }
+
+    #[test]
+    fn a_miss_behind_a_busy_worker_is_queued() {
+        let (_, engine) = static_engine(100);
+        let tally = Arc::new(ThreadTally::new(Arc::clone(&engine), Duration::from_millis(200)));
+        let linger = Duration::from_millis(1);
+        let cfg = SchedulerConfig { wave_size: 32, linger, workers: 1, queue_cap: 64 };
+        let sched = RequestScheduler::new(Arc::clone(&tally), cfg).unwrap();
+        // The first miss always queues, and its lookup holds the worker.
+        let first = sched.submit(0).unwrap();
+        std::thread::sleep(4 * linger);
+        // The gap says sparse and the queue is empty, but no worker is
+        // parked: there is no wake-up to save, so the miss queues.
+        let second = sched.submit(2).unwrap();
+        assert_eq!(second.try_result(), None, "queued behind the busy worker");
+        assert_eq!((first.wait(), second.wait()), (engine.get(0), engine.get(2)));
+        assert_eq!(tally.seen(), vec![true, true], "both lookups ran on the worker");
     }
 
     #[test]

@@ -123,9 +123,12 @@ fn main() {
     );
 
     // 5. Sparse paced arrivals: one request every four lingers can never
-    //    fill a wave of 32 before its deadline, so no partial wave is held
-    //    for company that cannot come — the median queue wait is a worker
-    //    wake-up, far below the configured linger (the upper bound).
+    //    fill a wave of 32 before its deadline, so no request waits for
+    //    company that cannot come. It does not wait for a worker either:
+    //    the parked worker would only send it alone, so it is served by
+    //    one `get` on the submitting thread (a wave of one) and the median
+    //    queue wait is the submit's own bookkeeping, ~1µs against the
+    //    configured linger.
     let sched = rmi_spec.scheduler(wave, &data, SearchStrategy::Binary).expect("builds");
     let gap = 4 * wave.linger;
     for &k in schedule.keys.iter().take(500) {

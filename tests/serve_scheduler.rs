@@ -1,8 +1,10 @@
 //! Integration suite for the open-loop serving front end: a property test
 //! proving the scheduler is observably a `get` loop (same answers, same
 //! commutative checksum as direct engine reads) over a write-behind engine
-//! with live tombstones, a concurrent-submission oracle test through the
-//! negative-caching fast path, and an admission-control test pinning the
+//! with live tombstones, concurrent-submission oracle tests through the
+//! negative-caching fast path (one of them mixing paced stretches, whose
+//! misses are served on the submitting threads, with back-to-back bursts
+//! that queue for the workers), and an admission-control test pinning the
 //! shed accounting (`completed + shed == submitted`, queue depth never
 //! exceeds `queue_cap`).
 
@@ -14,6 +16,7 @@ use sosd::core::{
     SearchStrategy, SortedData, WriteBehindEngine,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -170,6 +173,132 @@ fn concurrent_submission_matches_direct_gets() {
         oracle_checksum(cached.as_ref(), &all),
         "scheduler answers diverge from direct engine reads"
     );
+}
+
+/// An engine counting lookups by where they ran: on a scheduler worker
+/// (a thread named `sosd-serve-*`) or on a submitting thread.
+struct ThreadTally<E: ?Sized> {
+    inner: Arc<E>,
+    on_worker: AtomicU64,
+    on_submitter: AtomicU64,
+}
+
+impl<E: ?Sized> ThreadTally<E> {
+    fn note(&self, keys: usize) {
+        let worker = std::thread::current().name().is_some_and(|n| n.starts_with("sosd-serve-"));
+        let count = if worker { &self.on_worker } else { &self.on_submitter };
+        count.fetch_add(keys as u64, Ordering::Relaxed);
+    }
+}
+
+impl<E: QueryEngine<u64> + ?Sized> QueryEngine<u64> for ThreadTally<E> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn size_bytes(&self) -> usize {
+        self.inner.size_bytes()
+    }
+    fn get(&self, key: u64) -> Option<u64> {
+        self.note(1);
+        self.inner.get(key)
+    }
+    fn lower_bound(&self, key: u64) -> Option<(u64, u64)> {
+        self.inner.lower_bound(key)
+    }
+    fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        self.inner.range(lo, hi)
+    }
+    fn get_batch(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+        self.note(keys.len());
+        self.inner.get_batch(keys, out)
+    }
+}
+
+/// Three submitters alternating paced stretches (one request per linger
+/// each) with back-to-back bursts, through the negative-caching fast path
+/// over a tombstoned write-behind engine: sparse misses are answered on
+/// the submitting threads and burst misses on the workers, and either way
+/// every response equals the oracle, nothing is lost, and the checksum
+/// matches direct reads of the same key multiset.
+#[test]
+fn mixed_density_submission_matches_direct_gets() {
+    let keys: Vec<u64> = (0..6_000u64).map(|k| k * 3).collect();
+    let removed: Vec<u64> = keys.iter().copied().filter(|k| k % 21 == 0).collect();
+    let (wb, oracle) = build_writebehind(&keys, &removed);
+    let cached = Arc::new(CachedEngine::with_negative(wb, 512, 4, true).expect("cache builds"));
+    let probe: FastProbe<u64> = {
+        let cache = Arc::clone(&cached);
+        Arc::new(move |key| cache.peek(key))
+    };
+    let tally = Arc::new(ThreadTally {
+        inner: Arc::clone(&cached),
+        on_worker: AtomicU64::new(0),
+        on_submitter: AtomicU64::new(0),
+    });
+    let linger = Duration::from_millis(1);
+    let sched = RequestScheduler::with_fast_path(
+        Arc::clone(&tally),
+        SchedulerConfig { wave_size: 32, linger, workers: 2, queue_cap: 1 << 16 },
+        probe,
+    )
+    .expect("scheduler builds");
+
+    // Per thread: four rounds of 12 paced keys then a 400-key burst, over
+    // present, absent and tombstoned keys (a key space far larger than
+    // the cache, so most lookups miss).
+    let (paced, burst) = (12, 400);
+    let streams: Vec<Vec<u64>> = (0..3u64)
+        .map(|t| {
+            let mut x = 0x51ED_2701 ^ t;
+            (0..4 * (paced + burst))
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 32) % (6_000 * 3 + 16)
+                })
+                .collect()
+        })
+        .collect();
+
+    std::thread::scope(|scope| {
+        for stream in &streams {
+            let (sched, oracle) = (&sched, &oracle);
+            scope.spawn(move || {
+                for round in stream.chunks(paced + burst) {
+                    let (slow, fast) = round.split_at(paced);
+                    for &k in slow {
+                        let r = sched.submit(k).expect("roomy queue never sheds");
+                        assert_eq!(r.wait(), oracle.get(&k).copied(), "paced key {k}");
+                        std::thread::sleep(linger + linger / 4);
+                    }
+                    let responses: Vec<_> = fast
+                        .iter()
+                        .map(|&k| sched.submit(k).expect("roomy queue never sheds"))
+                        .collect();
+                    for (&k, r) in fast.iter().zip(&responses) {
+                        assert_eq!(r.wait(), oracle.get(&k).copied(), "burst key {k}");
+                    }
+                }
+            });
+        }
+    });
+    sched.wait_idle();
+
+    let stats = sched.stats();
+    let all: Vec<u64> = streams.iter().flatten().copied().collect();
+    assert_eq!(stats.submitted, all.len() as u64);
+    assert_eq!(stats.completed, stats.submitted, "nothing lost or shed");
+    assert_eq!(
+        stats.checksum,
+        oracle_checksum(cached.as_ref(), &all),
+        "scheduler answers diverge from direct engine reads"
+    );
+    let (on_worker, on_submitter) =
+        (tally.on_worker.load(Ordering::Relaxed), tally.on_submitter.load(Ordering::Relaxed));
+    assert!(on_worker > 0, "burst misses must reach the workers");
+    assert!(on_submitter > 0, "paced misses must be served on the submitting threads");
 }
 
 /// An engine whose every lookup sleeps, forcing the bounded queue to fill
