@@ -23,11 +23,10 @@
 //! Otherwise — arrivals too sparse to fill the wave in time, or no gap
 //! observed yet — it dispatches what it has immediately: a lone queued
 //! request goes out at wake-up latency, not after `linger` (a sparse miss
-//! does not queue at all, see below), while
-//! back-to-back arrivals still fill whole waves and a backlog that built
-//! up during the previous wave batches without any wait. Every push wakes
-//! a holding worker, which re-evaluates the rule with the larger wave and
-//! the updated gap.
+//! does not queue at all, see below), while back-to-back arrivals still
+//! fill whole waves and a backlog that built up during the previous wave
+//! batches without any wait. Every push wakes a holding worker, which
+//! re-evaluates the rule with the larger wave and the updated gap.
 //!
 //! The deadline is the backstop, not the norm: if arrivals stop after the
 //! decision to hold, the wave goes out when the head request has waited
@@ -155,7 +154,7 @@ impl fmt::Display for RequestShed {
 
 impl std::error::Error for RequestShed {}
 
-/// Completion slot shared between a queued request and its [`Response`].
+/// Completion slot shared between an admitted miss and its [`Response`].
 #[derive(Default)]
 struct Slot {
     state: Mutex<SlotState>,
@@ -177,10 +176,10 @@ pub struct Response {
 }
 
 enum ResponseInner {
-    /// Completed on the submitting thread: by the hit-fast path (`fast`)
-    /// or by a sparse miss's inline `get`.
-    Ready { result: Option<u64>, fast: bool },
-    /// Waiting on a wave.
+    /// Completed at submit time by the hit-fast path.
+    Ready(Option<u64>),
+    /// Completed through its slot: by a wave, or already at submit time
+    /// when a sparse miss was served on the submitting thread.
     Pending(Arc<Slot>),
 }
 
@@ -189,7 +188,7 @@ impl Response {
     /// (`None` = key absent, exactly as [`QueryEngine::get`]).
     pub fn wait(&self) -> Option<u64> {
         match &self.inner {
-            ResponseInner::Ready { result, .. } => *result,
+            ResponseInner::Ready(r) => *r,
             ResponseInner::Pending(slot) => {
                 let mut st = slot.state.lock().expect("response slot");
                 loop {
@@ -206,7 +205,7 @@ impl Response {
     /// The result if already available, without blocking.
     pub fn try_result(&self) -> Option<Option<u64>> {
         match &self.inner {
-            ResponseInner::Ready { result, .. } => Some(*result),
+            ResponseInner::Ready(r) => Some(*r),
             ResponseInner::Pending(slot) => slot.state.lock().expect("response slot").result,
         }
     }
@@ -215,7 +214,7 @@ impl Response {
     /// entered the queue). A sparse miss served inline on the submitting
     /// thread is ready at once too, but is not a fast-path hit.
     pub fn is_fast(&self) -> bool {
-        matches!(self.inner, ResponseInner::Ready { fast: true, .. })
+        matches!(self.inner, ResponseInner::Ready(_))
     }
 }
 
@@ -350,17 +349,29 @@ impl<K: Key> Shared<K> {
         self.completed.fetch_add(1, Ordering::Release);
     }
 
-    /// Complete a request on the submitting thread: it never had a slot
-    /// anyone could wait on, so its `Response` is ready at once.
+    /// Complete a request on the submitting thread, so its `Response` is
+    /// ready at once. A fast-path hit (`slot: None`) carries its result in
+    /// the `Response`; a sparse miss publishes into the slot it was
+    /// admitted with.
     fn complete_here(
         &self,
         key: K,
         enqueued: Instant,
         result: Option<u64>,
-        fast: bool,
+        slot: Option<Arc<Slot>>,
     ) -> Response {
-        self.complete(key, &Slot::default(), enqueued, Instant::now(), result);
-        Response { inner: ResponseInner::Ready { result, fast } }
+        let now = Instant::now();
+        let inner = match slot {
+            Some(slot) => {
+                self.complete(key, &slot, enqueued, now, result);
+                ResponseInner::Pending(slot)
+            }
+            None => {
+                self.complete(key, &Slot::default(), enqueued, now, result);
+                ResponseInner::Ready(result)
+            }
+        };
+        Response { inner }
     }
 
     /// Count one dispatched wave of `requests` requests.
@@ -536,7 +547,7 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
                 sh.fast_hits.fetch_add(1, Ordering::Relaxed);
                 // Completes on the submitting thread: ~the latency of one
                 // cache probe, recorded like any other completion.
-                return Ok(sh.complete_here(key, enqueued, result, true));
+                return Ok(sh.complete_here(key, enqueued, result, None));
             }
         }
         let slot = Arc::new(Slot::default());
@@ -554,7 +565,7 @@ impl<K: Key, E: QueryEngine<K> + ?Sized + 'static> RequestScheduler<K, E> {
                 sh.queue_wait.record(duration_ns(enqueued.elapsed()));
                 let result = self.engine.get(key);
                 sh.note_wave(1);
-                return Ok(sh.complete_here(key, enqueued, result, false));
+                return Ok(sh.complete_here(key, enqueued, result, Some(slot)));
             }
             q.deque.push_back(Request { key, enqueued, slot: Arc::clone(&slot) });
             q.note_arrival(enqueued, self.config.linger);
@@ -876,9 +887,10 @@ mod tests {
         }
     }
 
-    /// Twelve misses `4 × linger` apart through a tallying engine, each
-    /// awaited before the next; returns the scheduler's final stats and
-    /// where every lookup ran.
+    /// Twelve misses `pace` apart through a tallying engine, each awaited
+    /// before the next (`check` sees each response straight after
+    /// `submit`); returns the final stats, where every lookup ran, and the
+    /// oracle checksum of the keys.
     fn paced_misses(
         cfg: SchedulerConfig,
         pace: Duration,
